@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .dataset import BUILTIN_NAMES, Series, builtin_series, parse_csv
@@ -24,9 +25,8 @@ from .svgplot import render_plot
 from .thermal import (
     builtin_heatsinks,
     builtin_packages,
-    heatsinks_to_csv,
+    catalog_to_csv,
     junction_temperature,
-    packages_to_csv,
     select_heatsink,
 )
 
@@ -54,7 +54,7 @@ def _load_series(args) -> Series:
     if not args.input:
         raise UsageError("an input file or --builtin is required")
     try:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise MalformedRow(f"{args.input} is not valid UTF-8: {e}")
@@ -63,7 +63,7 @@ def _load_series(args) -> Series:
 
 def _load_weights(path: str) -> list[float]:
     weights = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -132,27 +132,16 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def cmd_thermal_packages(args) -> int:
-    entries = builtin_packages()
+def cmd_thermal_catalog(args) -> int:
+    entries = args.catalog()
     if args.csv:
-        sys.stdout.write(packages_to_csv(entries))
+        sys.stdout.write(catalog_to_csv(entries))
         return 0
+    columns = [f.name for f in fields(entries[0])][1:]
     width = max(len(e.name) for e in entries)
-    print(f"{'package':<{width}}  {'theta_jc':>8}  {'theta_ja':>8}")
+    print("  ".join([f"{args.title:<{width}}"] + [f"{c:>8}" for c in columns]))
     for e in entries:
-        print(f"{e.name:<{width}}  {e.theta_jc:>8.1f}  {e.theta_ja:>8.1f}")
-    return 0
-
-
-def cmd_thermal_heatsinks(args) -> int:
-    entries = builtin_heatsinks()
-    if args.csv:
-        sys.stdout.write(heatsinks_to_csv(entries))
-        return 0
-    width = max(len(e.name) for e in entries)
-    print(f"{'heat sink':<{width}}  {'theta_sa':>8}")
-    for e in entries:
-        print(f"{e.name:<{width}}  {e.theta_sa:>8.1f}")
+        print("  ".join([f"{e.name:<{width}}"] + [f"{getattr(e, c):>8.1f}" for c in columns]))
     return 0
 
 
@@ -186,6 +175,17 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for iteration caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_input_args(sp) -> None:
     sp.add_argument("input", nargs="?", help="CSV series file")
     sp.add_argument("--builtin", choices=BUILTIN_NAMES, help="use an embedded dataset")
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--axis", choices=[a.value for a in Axis], default=Axis.Y_ON_X.value)
     fit.add_argument("--weights", help="file with one positive weight per line")
     fit.add_argument("--nonlinear", action="store_true", help="also run the Gauss-Newton fit")
-    fit.add_argument("--max-iter", type=int, default=100, help="Gauss-Newton iteration cap")
+    fit.add_argument("--max-iter", type=_positive_int, default=100, help="Gauss-Newton iteration cap")
     fit.add_argument("--json", dest="as_json", action="store_true")
     fit.set_defaults(func=cmd_fit)
 
@@ -221,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = thermal.add_subparsers(dest="thermal_command", required=True)
     tp = tsub.add_parser("packages", help="package thermal resistances")
     tp.add_argument("--csv", action="store_true")
-    tp.set_defaults(func=cmd_thermal_packages)
+    tp.set_defaults(func=cmd_thermal_catalog, catalog=builtin_packages, title="package")
     th = tsub.add_parser("heatsinks", help="surface-mount heat sink resistances")
     th.add_argument("--csv", action="store_true")
-    th.set_defaults(func=cmd_thermal_heatsinks)
+    th.set_defaults(func=cmd_thermal_catalog, catalog=builtin_heatsinks, title="heat sink")
     tj = tsub.add_parser("junction", help="predict junction temperature")
     tj.add_argument("-p", "--power", type=float, required=True, help="dissipated power, W")
     tj.add_argument("-r", "--resistance", type=float, required=True, help="total resistance, degC/W")
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(plot)
     plot.add_argument("-o", "--output", required=True, help="SVG output path")
     plot.add_argument("--nonlinear", action="store_true", help="include the step-response curve")
-    plot.add_argument("--max-iter", type=int, default=100)
+    plot.add_argument("--max-iter", type=_positive_int, default=100)
     plot.set_defaults(func=cmd_plot)
 
     return p

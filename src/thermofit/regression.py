@@ -113,13 +113,9 @@ def _pearson_from_devs(dx, dy, ws) -> float:
     return max(-1.0, min(1.0, nxy / math.sqrt(nxx * nyy)))
 
 
-def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
-    """Weighted least-squares line in y = mx + b form.
-
-    Shared by ols_fit (unit weights) and wls_fit so that equal weights
-    reproduce the unweighted fit exactly, bit for bit.
-    """
-    n = len(xs)
+def _centered(xs, ys, ws, axis: Axis | None = None):
+    """Degeneracy checks, centering and r, shared by the line fits and
+    ``correlation``.  Returns (xbar, ybar, dx, dy, r)."""
     if min(xs) == max(xs):
         msg = "all x values are equal"
         if axis is Axis.Y_ON_X:
@@ -129,35 +125,43 @@ def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
         # For Y_ON_X a flat line would fit, but r is then undefined; erroring
         # beats inventing a conventional value.
         raise DegenerateVariance("all y values are equal")
-
     sw = math.fsum(ws)
     xbar = math.fsum(w * x for w, x in zip(ws, xs)) / sw
     ybar = math.fsum(w * y for w, y in zip(ws, ys)) / sw
     dx = [x - xbar for x in xs]
     dy = [y - ybar for y in ys]
-    r = _pearson_from_devs(dx, dy, ws)
+    return xbar, ybar, dx, dy, _pearson_from_devs(dx, dy, ws)
 
-    if axis is Axis.Y_ON_X:
-        sxx = math.fsum(w * a * a for w, a in zip(ws, dx))
-        sxy = math.fsum(w * a * b for w, a, b in zip(ws, dx, dy))
-        if sxx == 0.0:
-            raise DegenerateVariance("x variance underflowed to zero")
-        m = sxy / sxx
-        b = ybar - m * xbar
-        sse = math.fsum(w * (y - (m * x + b)) ** 2 for w, x, y in zip(ws, xs, ys))
-        return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=n)
 
-    # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
-    syy = math.fsum(w * b * b for w, b in zip(ws, dy))
-    sxy = math.fsum(w * a * b for w, a, b in zip(ws, dx, dy))
-    if syy == 0.0:
-        raise DegenerateVariance("y variance underflowed to zero")
-    mp = sxy / syy
-    bp = xbar - mp * ybar
-    if mp == 0.0:
+def _regress(us, vs, ws, ubar, vbar, du, dv, axis: Axis):
+    """Weighted fit of v = m*u + b: (m, b, SSE).  Y_ON_X passes (x, y), X_ON_Y
+    (y, x); the cross sum (w*du)*dv is order-exact only for unit weights."""
+    u_name = "x" if axis is Axis.Y_ON_X else "y"
+    suu = math.fsum(w * a * a for w, a in zip(ws, du))
+    suv = math.fsum(w * a * b for w, a, b in zip(ws, du, dv))
+    if suu == 0.0:
+        raise DegenerateVariance(f"{u_name} variance underflowed to zero")
+    m = suv / suu
+    b = vbar - m * ubar
+    if axis is Axis.X_ON_Y and m == 0.0:
         raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
-    sse = math.fsum(w * (x - (mp * y + bp)) ** 2 for w, x, y in zip(ws, xs, ys))
-    return LinearFit(slope=1.0 / mp, intercept=-bp / mp, axis=axis, r=r, sse=sse, n=n)
+    sse = math.fsum(w * (v - (m * u + b)) ** 2 for w, u, v in zip(ws, us, vs))
+    return m, b, sse
+
+
+def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
+    """Weighted least-squares line in y = mx + b form.
+
+    Shared by ols_fit (unit weights) and wls_fit so that equal weights
+    reproduce the unweighted fit exactly, bit for bit.
+    """
+    xbar, ybar, dx, dy, r = _centered(xs, ys, ws, axis)
+    if axis is Axis.Y_ON_X:
+        m, b, sse = _regress(xs, ys, ws, xbar, ybar, dx, dy, axis)
+        return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
+    # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
+    mp, bp, sse = _regress(ys, xs, ws, ybar, xbar, dy, dx, axis)
+    return LinearFit(slope=1.0 / mp, intercept=-bp / mp, axis=axis, r=r, sse=sse, n=len(xs))
 
 
 def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
@@ -223,15 +227,7 @@ def correlation(points: list[Point]) -> float:
     if len(points) < 2:
         raise InsufficientData("correlation needs at least 2 points")
     xs, ys = _split(points)
-    if min(xs) == max(xs):
-        raise DegenerateVariance("all x values are equal")
-    if min(ys) == max(ys):
-        raise DegenerateVariance("all y values are equal")
-    n = len(xs)
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    ones = [1.0] * n
-    return _pearson_from_devs([x - xbar for x in xs], [y - ybar for y in ys], ones)
+    return _centered(xs, ys, [1.0] * len(xs))[4]
 
 
 def classify_fit(r: float) -> FitClass:

@@ -6,9 +6,9 @@ A lumped thermal mass driven by a power step warms as
 
 with initial temperature T_0, steady state T_inf, and time constant tau.
 Two solvers fit the three parameters to a measured series by minimizing the
-sum of squared residuals: Gauss-Newton (solving the linearized normal
-equations each step, with step halving) and plain gradient descent with
-backtracking.
+sum of squared residuals: Gauss-Newton and steepest descent.  Both are line
+searches over one residual/Jacobian core and one backtracking step-halving
+search; they differ only in direction, starting step, halvings and stopping.
 """
 
 from __future__ import annotations
@@ -71,10 +71,47 @@ def _jac(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.column_stack([decay, 1.0 - decay, d_tau])
 
 
-def _check_params(params: StepModelParams) -> None:
-    a = params.as_array()
-    if not np.all(np.isfinite(a)) or params.tau_s <= 0:
+def _valid(theta: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(theta))) and theta[2] > 0
+
+
+def _checked_theta(params: StepModelParams) -> np.ndarray:
+    theta = params.as_array()
+    if not _valid(theta):
         raise InvalidInit(f"invalid step-model parameters {params}")
+    return theta
+
+
+def _arrays(series: Series) -> tuple[np.ndarray, np.ndarray]:
+    """The series as (times, temperatures) arrays."""
+    times = np.array([s.time_s for s in series.samples])
+    ys = np.array([s.temperature_c for s in series.samples])
+    return times, ys
+
+
+def _sse(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> float:
+    r = ys - _curve(theta, times)
+    return float(r @ r)
+
+
+def _gradient(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    r = ys - _curve(theta, times)
+    return -2.0 * (_jac(theta, times).T @ r)
+
+
+def _backtrack(theta, direction, step, tries, current, times, ys):
+    """Halve ``step`` until theta + step*direction is valid with SSE <= current.
+
+    Returns (step, theta, sse) of the accepted trial, or None after ``tries``.
+    """
+    for _ in range(tries):
+        trial = theta + step * direction
+        if _valid(trial):
+            s = _sse(trial, times, ys)
+            if s <= current:
+                return step, trial, s
+        step *= 0.5
+    return None
 
 
 def jacobian(
@@ -88,9 +125,8 @@ def jacobian(
     differences with step h_j = sqrt(machine eps) * max(1, |theta_j|) and
     serves as an independent check on the analytic formulas.
     """
-    _check_params(params)
+    theta = _checked_theta(params)
     t = np.asarray(times, dtype=float)
-    theta = params.as_array()
     if mode is JacobianMode.ANALYTIC:
         return _jac(theta, t)
 
@@ -107,20 +143,14 @@ def jacobian(
 
 def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     """Gradient of the SSE objective: -2 * J' r with r = observed - model."""
-    _check_params(params)
-    times = np.array([s.time_s for s in series.samples])
-    ys = np.array([s.temperature_c for s in series.samples])
-    theta = params.as_array()
-    r = ys - _curve(theta, times)
-    return -2.0 * (_jac(theta, times).T @ r)
+    theta = _checked_theta(params)
+    return _gradient(theta, *_arrays(series))
 
 
 def model_sse(params: StepModelParams, series: Series) -> float:
     """Sum of squared residuals of the series against the model."""
-    times = np.array([s.time_s for s in series.samples])
-    ys = np.array([s.temperature_c for s in series.samples])
-    r = ys - _curve(params.as_array(), times)
-    return float(r @ r)
+    times, ys = _arrays(series)
+    return _sse(params.as_array(), times, ys)
 
 
 def default_init(series: Series) -> StepModelParams:
@@ -134,21 +164,19 @@ def default_init(series: Series) -> StepModelParams:
 def _prepare(series: Series, init: StepModelParams | None):
     if len(series.samples) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
-    if init is None:
-        init = default_init(series)
-    _check_params(init)
-    times = np.array([s.time_s for s in series.samples])
-    ys = np.array([s.temperature_c for s in series.samples])
-    return init, times, ys
+    theta = _checked_theta(default_init(series) if init is None else init)
+    return (theta, *_arrays(series))
 
 
-def _sse_of(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> float:
-    r = ys - _curve(theta, times)
-    return float(r @ r)
-
-
-def _theta_valid(theta: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(theta))) and theta[2] > 0
+def _result(theta: np.ndarray, sse: float, iterations: int, converged: bool, trace) -> NlFit:
+    t0, tinf, tau = theta
+    return NlFit(
+        params=StepModelParams(float(t0), float(tinf), float(tau)),
+        sse=sse,
+        iterations=iterations,
+        converged=converged,
+        trace=tuple(trace),
+    )
 
 
 def gauss_newton(
@@ -168,11 +196,10 @@ def gauss_newton(
     ``freeze_tau`` the time constant stays at its initial value, leaving a
     problem that is linear in (T_0, T_inf) and solved exactly in one step.
     """
-    init, times, ys = _prepare(series, init)
-    theta = init.as_array()
+    theta, times, ys = _prepare(series, init)
     active = [0, 1] if freeze_tau else [0, 1, 2]
 
-    current = _sse_of(theta, times, ys)
+    current = _sse(theta, times, ys)
     trace = [(0, current)]
     converged = current == 0.0
     iterations = 0
@@ -200,35 +227,20 @@ def gauss_newton(
                 "parameters are not identifiable from this data"
             )
         delta = np.linalg.solve(jtj, J.T @ r)
+        if freeze_tau:
+            delta = np.append(delta, 0.0)
 
-        alpha = 1.0
-        accepted = None
-        for _ in range(max_halvings + 1):
-            trial = theta.copy()
-            trial[active] += alpha * delta
-            if _theta_valid(trial):
-                s = _sse_of(trial, times, ys)
-                if s <= current:
-                    accepted = (trial, s)
-                    break
-            alpha *= 0.5
+        accepted = _backtrack(theta, delta, 1.0, max_halvings + 1, current, times, ys)
         if accepted is None:
             break  # no damped step improves; return the best found
-        theta, new = accepted
+        _, theta, new = accepted
         iterations = k
         trace.append((k, new))
         if current > 0 and (current - new) / current < tol:
             converged = True
         current = new
 
-    t0, tinf, tau = theta
-    return NlFit(
-        params=StepModelParams(float(t0), float(tinf), float(tau)),
-        sse=current,
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
-    )
+    return _result(theta, current, iterations, converged, trace)
 
 
 def gradient_descent(
@@ -247,12 +259,10 @@ def gradient_descent(
     (doubled), so the method adapts to the local scale.  Converged means the
     relative SSE decrease over a ``window``-iteration span fell below ``tol``.
     """
-    init, times, ys = _prepare(series, init)
-    theta = init.as_array()
+    theta, times, ys = _prepare(series, init)
 
-    current = _sse_of(theta, times, ys)
+    current = _sse(theta, times, ys)
     trace = [(0, current)]
-    history = [current]
     converged = current == 0.0
     iterations = 0
     alpha = learning_rate
@@ -260,39 +270,21 @@ def gradient_descent(
     for k in range(1, max_iter + 1):
         if converged:
             break
-        r = ys - _curve(theta, times)
-        grad = -2.0 * (_jac(theta, times).T @ r)
+        grad = _gradient(theta, times, ys)
         if not np.any(grad):
             converged = True
             break
 
-        step = alpha
-        accepted = None
-        for _ in range(60):
-            trial = theta - step * grad
-            if _theta_valid(trial):
-                s = _sse_of(trial, times, ys)
-                if s <= current:
-                    accepted = (trial, s)
-                    break
-            step *= 0.5
+        accepted = _backtrack(theta, -grad, alpha, 60, current, times, ys)
         if accepted is None:
             break  # at the numerical floor
-        theta, current = accepted
+        step, theta, current = accepted
         alpha = step * 2.0
         iterations = k
         trace.append((k, current))
-        history.append(current)
         if k >= window:
-            past = history[k - window]
+            past = trace[k - window][1]
             if past == 0.0 or (past - current) / past < tol:
                 converged = True
 
-    t0, tinf, tau = theta
-    return NlFit(
-        params=StepModelParams(float(t0), float(tinf), float(tau)),
-        sse=current,
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
-    )
+    return _result(theta, current, iterations, converged, trace)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     EmptyInput,
@@ -161,21 +161,15 @@ def select_heatsink(
     return best
 
 
-def packages_to_csv(entries: list[PackageEntry]) -> str:
-    """CSV export with header ``name,theta_jc,theta_ja``."""
+def catalog_to_csv(entries: list[PackageEntry] | list[HeatSinkEntry]) -> str:
+    """CSV export of catalog entries, one column per dataclass field.
+
+    The header is the field names in declaration order, e.g.
+    ``name,theta_jc,theta_ja`` for packages and ``name,theta_sa`` for sinks.
+    """
+    names = [f.name for f in fields(entries[0])]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "theta_jc", "theta_ja"])
-    for e in entries:
-        w.writerow([e.name, e.theta_jc, e.theta_ja])
-    return buf.getvalue()
-
-
-def heatsinks_to_csv(entries: list[HeatSinkEntry]) -> str:
-    """CSV export with header ``name,theta_sa``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "theta_sa"])
-    for e in entries:
-        w.writerow([e.name, e.theta_sa])
+    w.writerow(names)
+    w.writerows([getattr(e, n) for n in names] for e in entries)
     return buf.getvalue()

@@ -64,6 +64,21 @@ def test_fit_with_weights(capsys, tmp_path):
     assert obj["slope"] * 2 + obj["intercept"] == pytest.approx(5.0, abs=1e-3)
 
 
+def test_fit_accepts_utf8_bom(capsys, tmp_path):
+    csv_text = "time_s,temperature_c\n0,0\n1,1\n2,5\n"
+    weights_text = "1\n1\n1000000\n"
+    outs = []
+    for bom in ("", "\ufeff"):
+        data = tmp_path / f"d{len(bom)}.csv"
+        data.write_text(bom + csv_text, encoding="utf-8")
+        wfile = tmp_path / f"w{len(bom)}.txt"
+        wfile.write_text(bom + weights_text, encoding="utf-8")
+        code, out, err = run(capsys, "fit", str(data), "--weights", str(wfile), "--json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[1] == outs[0]
+
+
 def test_fit_weights_length_mismatch(capsys, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("time_s,temperature_c\n0,0\n1,1\n2,5\n", encoding="utf-8")
@@ -136,6 +151,18 @@ def test_malformed_csv_paths(capsys, tmp_path):
 def test_bad_cli_arguments_exit_1(capsys):
     assert run(capsys, "fit", "--builtin", "turbo")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "ten"])
+@pytest.mark.parametrize("command", ["fit", "plot"])
+def test_non_positive_max_iter_is_a_usage_error(capsys, tmp_path, command, value):
+    argv = [command, "--builtin", "full", "--nonlinear", "--max-iter", value]
+    if command == "plot":
+        argv += ["-o", str(tmp_path / "x.svg")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("E_USAGE:") and "--max-iter" in err
+    assert not (tmp_path / "x.svg").exists()
 
 
 # --- predict ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from thermofit.errors import (
     NonPositiveResistance,
     OutOfRange,
 )
-from thermofit.thermal import heatsinks_to_csv, packages_to_csv
+from thermofit.thermal import catalog_to_csv
 
 GOLDEN_PACKAGES = [
     ("TO 3", 5.0, 60.0),
@@ -172,12 +172,12 @@ def test_select_heatsink_errors():
 
 
 def test_csv_exports():
-    pkg_csv = packages_to_csv(builtin_packages())
+    pkg_csv = catalog_to_csv(builtin_packages())
     lines = pkg_csv.strip().split("\n")
     assert lines[0] == "name,theta_jc,theta_ja"
     assert len(lines) == 9
     assert lines[1] == "TO 3,5.0,60.0"
-    hs_csv = heatsinks_to_csv(builtin_heatsinks())
+    hs_csv = catalog_to_csv(builtin_heatsinks())
     lines = hs_csv.strip().split("\n")
     assert lines[0] == "name,theta_sa"
     assert len(lines) == 5
