@@ -75,6 +75,19 @@ def _load_weights(path: str) -> list[float]:
     return weights
 
 
+def _exit_status(report, note: str = "") -> int:
+    """0, or 2 after one E_NOT_CONVERGED line if the step-response fit missed tolerance."""
+    nl = report.nonlinear
+    if nl is None or nl.converged:
+        return 0
+    print(
+        f"E_NOT_CONVERGED: step-response solver stopped after {nl.iterations} "
+        f"iterations without meeting tolerance{note}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_fit(args) -> int:
     series = _load_series(args)
     axis = Axis(args.axis)
@@ -94,14 +107,7 @@ def cmd_fit(args) -> int:
         sys.stdout.write(render_json(report))
     else:
         sys.stdout.write(render_text(report, color=_use_color()))
-    if report.nonlinear is not None and not report.nonlinear.converged:
-        print(
-            f"E_NOT_CONVERGED: step-response solver stopped after "
-            f"{report.nonlinear.iterations} iterations without meeting tolerance",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _exit_status(report)
 
 
 def cmd_predict(args) -> int:
@@ -165,14 +171,7 @@ def cmd_plot(args) -> int:
     svg = render_plot(series, report.linear, nl_params)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    if report.nonlinear is not None and not report.nonlinear.converged:
-        print(
-            "E_NOT_CONVERGED: step-response solver did not meet tolerance; "
-            "the plotted curve is the best iterate found",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _exit_status(report, "; the plotted curve is the best iterate found")
 
 
 def _positive_int(text: str) -> int:

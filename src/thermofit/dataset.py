@@ -65,58 +65,61 @@ class Violation:
     message: str
 
 
-def _check_sample(index: int, s: Sample) -> list[Violation]:
-    out = []
-    if not math.isfinite(s.time_s) or s.time_s < 0:
-        out.append(Violation("OutOfRange", index, f"time_s={s.time_s!r} must be finite and >= 0"))
-    if not math.isfinite(s.temperature_c) or not (TEMP_MIN_C <= s.temperature_c <= TEMP_MAX_C):
-        out.append(
-            Violation(
-                "OutOfRange",
-                index,
-                f"temperature_c={s.temperature_c!r} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]",
+def _violations(series: Series):
+    """Yield the violations :func:`validate` lists, in the same order."""
+    if not series.samples:
+        yield Violation("EmptySeries", None, "series has no samples")
+    if series.power_w is not None and not (0 < series.power_w < math.inf):
+        yield Violation("OutOfRange", None, f"power_w={series.power_w!r} must be positive")
+    prev = None
+    for i, s in enumerate(series.samples):
+        t, y = s.time_s, s.temperature_c
+        if not (0 <= t < math.inf):
+            yield Violation("OutOfRange", i, f"time_s={t!r} must be finite and >= 0")
+        if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
+            yield Violation("OutOfRange", i, f"temperature_c={y!r} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]")
+        if i and not (t > prev):
+            yield Violation(
+                "NonIncreasingTime", i, f"time_s[{i}]={t!r} does not exceed time_s[{i - 1}]={prev!r}"
             )
-        )
-    return out
+        prev = t
 
 
 def validate(series: Series) -> list[Violation]:
     """Check all Series invariants; an empty report means the series is valid.
 
     Violations are data, not failures: invalid series are representable so
-    that callers can inspect what is wrong with them.
+    that callers can inspect what is wrong with them.  Series-level
+    violations (empty series, bad power rating) come first, then per-sample
+    ones in index order; for one sample the time range is listed before the
+    temperature range, and both before the order against the previous sample.
     """
-    report: list[Violation] = []
-    if not series.samples:
-        report.append(Violation("EmptySeries", None, "series has no samples"))
-    if series.power_w is not None and not (
-        math.isfinite(series.power_w) and series.power_w > 0
-    ):
-        report.append(Violation("OutOfRange", None, f"power_w={series.power_w!r} must be positive"))
-    for i, s in enumerate(series.samples):
-        report.extend(_check_sample(i, s))
-    for i in range(1, len(series.samples)):
-        if not (series.samples[i].time_s > series.samples[i - 1].time_s):
-            report.append(
-                Violation(
-                    "NonIncreasingTime",
-                    i,
-                    f"time_s[{i}]={series.samples[i].time_s!r} does not exceed "
-                    f"time_s[{i - 1}]={series.samples[i - 1].time_s!r}",
-                )
-            )
-    return report
+    return list(_violations(series))
+
+
+_ERRORS = {e.__name__: e for e in (EmptySeries, NonIncreasingTime, OutOfRange)}
+
+
+def _require_valid(series: Series, lines: list[int] | None = None) -> None:
+    """Raise the typed error of the first violation, if any, without looking
+    further; ``lines[i]``, sample i's source line, prefixes its message."""
+    for v in _violations(series):
+        where = "" if lines is None or v.index is None else f"line {lines[v.index]}: "
+        raise _ERRORS[v.rule](where + v.message)
 
 
 def parse_csv(text: str) -> Series:
     """Parse CSV text into a Series, refusing anything that breaks an invariant.
 
-    Raises MalformedRow, NonIncreasingTime, EmptySeries, or OutOfRange; never
-    returns an invalid Series.
+    Raises MalformedRow for a syntax error anywhere in the text; otherwise
+    the error of the first violation :func:`validate` would list
+    (NonIncreasingTime, EmptySeries, or OutOfRange), prefixed with its line
+    when it belongs to a sample.  Never returns an invalid Series.
     """
     label = ""
     power_w: float | None = None
     samples: list[Sample] = []
+    lines: list[int] = []
     seen_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -125,8 +128,7 @@ def parse_csv(text: str) -> Series:
             continue
         if line.startswith("#"):
             if not seen_header:
-                body = line[1:].strip()
-                key, _, value = body.partition(":")
+                key, _, value = line[1:].partition(":")
                 key = key.strip().lower()
                 if key == "label":
                     label = value.strip()
@@ -135,36 +137,26 @@ def parse_csv(text: str) -> Series:
                         power_w = float(value)
                     except ValueError:
                         raise MalformedRow(f"line {lineno}: power_w is not a number: {value.strip()!r}")
-                    if not math.isfinite(power_w) or power_w <= 0:
-                        raise OutOfRange(f"line {lineno}: power_w={power_w!r} must be positive")
             continue
         if not seen_header:
             if line != _HEADER:
                 raise MalformedRow(f"line {lineno}: expected header {_HEADER!r}, got {line!r}")
             seen_header = True
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
-            t, y = float(fields[0]), float(fields[1])
+            samples.append(Sample(float(fields[0]), float(fields[1])))
         except ValueError:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
-        sample = Sample(t, y)
-        bad = _check_sample(len(samples), sample)
-        if bad:
-            raise OutOfRange(f"line {lineno}: {bad[0].message}")
-        if samples and not (t > samples[-1].time_s):
-            raise NonIncreasingTime(
-                f"line {lineno}: time_s={t!r} does not exceed previous {samples[-1].time_s!r}"
-            )
-        samples.append(sample)
+        lines.append(lineno)
 
     if not seen_header:
         raise MalformedRow(f"missing header row {_HEADER!r}")
-    if not samples:
-        raise EmptySeries("no data rows after header")
-    return Series(label=label, samples=tuple(samples), power_w=power_w)
+    series = Series(label=label, samples=tuple(samples), power_w=power_w)
+    _require_valid(series, lines)
+    return series
 
 
 def to_csv(series: Series) -> str:
@@ -194,30 +186,21 @@ def to_csv(series: Series) -> str:
 _TIMES_S = (1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60)
 _IDLE_TEMPS_C = (20.2, 20.2, 20.4, 20.5, 21.2, 21.8, 22.0, 23.8, 25.9, 26.4, 27.5, 28.0, 28.4)
 _FULL_TEMPS_C = (20.2, 22.4, 25.0, 27.2, 29.6, 32.5, 33.8, 42.6, 54.7, 55.2, 56.0, 56.5, 56.8)
-
-BUILTIN_NAMES = ("idle", "full")
+_BUILTINS = {  # name -> (label, temperatures, power_w)
+    "idle": ("idle-load-85W", _IDLE_TEMPS_C, 85.0),
+    "full": ("full-load-150W", _FULL_TEMPS_C, 150.0),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_profiles() -> tuple[Series, Series]:
     """Return the embedded (idle 85 W, full 150 W) temperature profiles."""
-    idle = Series(
-        label="idle-load-85W",
-        samples=tuple(Sample(float(t), y) for t, y in zip(_TIMES_S, _IDLE_TEMPS_C)),
-        power_w=85.0,
-    )
-    full = Series(
-        label="full-load-150W",
-        samples=tuple(Sample(float(t), y) for t, y in zip(_TIMES_S, _FULL_TEMPS_C)),
-        power_w=150.0,
-    )
-    return idle, full
+    return builtin_series("idle"), builtin_series("full")
 
 
 def builtin_series(name: str) -> Series:
     """Look up one embedded series by short name ('idle' or 'full')."""
-    idle, full = builtin_profiles()
-    if name == "idle":
-        return idle
-    if name == "full":
-        return full
-    raise KeyError(f"unknown builtin series {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin series {name!r}; choose from {BUILTIN_NAMES}")
+    label, temps, power_w = _BUILTINS[name]
+    return Series(label, tuple(Sample(float(t), y) for t, y in zip(_TIMES_S, temps)), power_w)

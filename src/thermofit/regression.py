@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -83,6 +84,14 @@ def _split(points: list[Point]) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
+def _fsum(terms) -> float:
+    """Exact sum, raising OutOfRange where an intermediate sum overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise OutOfRange("a sum overflows the double range") from None
+
+
 def summarize(points: list[Point]) -> SummaryStats:
     """Accumulate the five least-squares sums over the points.
 
@@ -94,11 +103,11 @@ def summarize(points: list[Point]) -> SummaryStats:
     xs, ys = _split(points)
     return SummaryStats(
         n=len(xs),
-        sum_x=math.fsum(xs),
-        sum_y=math.fsum(ys),
-        sum_xy=math.fsum(x * y for x, y in zip(xs, ys)),
-        sum_x2=math.fsum(x * x for x in xs),
-        sum_y2=math.fsum(y * y for y in ys),
+        sum_x=_fsum(xs),
+        sum_y=_fsum(ys),
+        sum_xy=_fsum(x * y for x, y in zip(xs, ys)),
+        sum_x2=_fsum(x * x for x in xs),
+        sum_y2=_fsum(y * y for y in ys),
     )
 
 
@@ -107,9 +116,9 @@ def _pearson_from_devs(dx, dy, ws) -> float:
     neither overflow nor underflow; clamped to [-1, 1]."""
     sx = max(abs(d) for d in dx)
     sy = max(abs(d) for d in dy)
-    nxx = math.fsum(w * (a / sx) ** 2 for w, a in zip(ws, dx))
-    nyy = math.fsum(w * (b / sy) ** 2 for w, b in zip(ws, dy))
-    nxy = math.fsum(w * (a / sx) * (b / sy) for w, a, b in zip(ws, dx, dy))
+    nxx = _fsum(w * (a / sx) ** 2 for w, a in zip(ws, dx))
+    nyy = _fsum(w * (b / sy) ** 2 for w, b in zip(ws, dy))
+    nxy = _fsum(w * (a / sx) * (b / sy) for w, a, b in zip(ws, dx, dy))
     return max(-1.0, min(1.0, nxy / math.sqrt(nxx * nyy)))
 
 
@@ -125,27 +134,28 @@ def _centered(xs, ys, ws, axis: Axis | None = None):
         # For Y_ON_X a flat line would fit, but r is then undefined; erroring
         # beats inventing a conventional value.
         raise DegenerateVariance("all y values are equal")
-    sw = math.fsum(ws)
-    xbar = math.fsum(w * x for w, x in zip(ws, xs)) / sw
-    ybar = math.fsum(w * y for w, y in zip(ws, ys)) / sw
+    sw = _fsum(ws)
+    xbar = _fsum(w * x for w, x in zip(ws, xs)) / sw
+    ybar = _fsum(w * y for w, y in zip(ws, ys)) / sw
     dx = [x - xbar for x in xs]
     dy = [y - ybar for y in ys]
     return xbar, ybar, dx, dy, _pearson_from_devs(dx, dy, ws)
 
 
-def _regress(us, vs, ws, ubar, vbar, du, dv, axis: Axis):
+def _regress(us, vs, ws, ubar, vbar, du, dv):
     """Weighted fit of v = m*u + b: (m, b, SSE).  Y_ON_X passes (x, y), X_ON_Y
     (y, x); the cross sum (w*du)*dv is order-exact only for unit weights."""
-    u_name = "x" if axis is Axis.Y_ON_X else "y"
-    suu = math.fsum(w * a * a for w, a in zip(ws, du))
-    suv = math.fsum(w * a * b for w, a, b in zip(ws, du, dv))
-    if suu == 0.0:
-        raise DegenerateVariance(f"{u_name} variance underflowed to zero")
+    # Squares of deviations below 2**-511 are subnormal and lose precision;
+    # raising beats returning a silently inaccurate fit.
+    if max(map(abs, du)) < 2.0**-511 or max(map(abs, dv)) < 2.0**-511:
+        raise OutOfRange("deviations too small to square without underflow")
+    suu = _fsum(w * a * a for w, a in zip(ws, du))
+    suv = _fsum(w * a * b for w, a, b in zip(ws, du, dv))
+    if not (sys.float_info.min <= suu < math.inf):
+        raise OutOfRange(f"sum of squared deviations {suu!r} is outside the double range")
     m = suv / suu
     b = vbar - m * ubar
-    if axis is Axis.X_ON_Y and m == 0.0:
-        raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
-    sse = math.fsum(w * (v - (m * u + b)) ** 2 for w, u, v in zip(ws, us, vs))
+    sse = _fsum(w * (v - (m * u + b)) ** 2 for w, u, v in zip(ws, us, vs))
     return m, b, sse
 
 
@@ -157,11 +167,16 @@ def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
     """
     xbar, ybar, dx, dy, r = _centered(xs, ys, ws, axis)
     if axis is Axis.Y_ON_X:
-        m, b, sse = _regress(xs, ys, ws, xbar, ybar, dx, dy, axis)
-        return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
-    # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
-    mp, bp, sse = _regress(ys, xs, ws, ybar, xbar, dy, dx, axis)
-    return LinearFit(slope=1.0 / mp, intercept=-bp / mp, axis=axis, r=r, sse=sse, n=len(xs))
+        m, b, sse = _regress(xs, ys, ws, xbar, ybar, dx, dy)
+    else:
+        # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
+        mp, bp, sse = _regress(ys, xs, ws, ybar, xbar, dy, dx)
+        if mp == 0.0:
+            raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
+        m, b = 1.0 / mp, -bp / mp
+    if not all(map(math.isfinite, (m, b, sse))):
+        raise OutOfRange(f"fit overflowed: slope={m!r}, intercept={b!r}, sse={sse!r}")
+    return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
 
 
 def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
@@ -215,7 +230,7 @@ def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
 
 def sse(fit: LinearFit, points: list[Point]) -> float:
     """Sum of squared deviations of the points from the fitted line."""
-    return math.fsum(d * d for d in residuals(fit, points))
+    return _fsum(d * d for d in residuals(fit, points))
 
 
 def correlation(points: list[Point]) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Series
+from .dataset import Series, _require_valid
 from .errors import InsufficientData, InvalidInit, SingularNormalMatrix
 
 _MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
@@ -164,6 +164,7 @@ def default_init(series: Series) -> StepModelParams:
 def _prepare(series: Series, init: StepModelParams | None):
     if len(series.samples) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
+    _require_valid(series)
     theta = _checked_theta(default_init(series) if init is None else init)
     return (theta, *_arrays(series))
 

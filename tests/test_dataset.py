@@ -53,10 +53,18 @@ def test_parse_header_only():
         ("time_s,temperature_c\n1,-300\n", OutOfRange),
         ("# power_w: -5\ntime_s,temperature_c\n1,20\n", OutOfRange),
         ("# power_w: lots\ntime_s,temperature_c\n1,20\n", MalformedRow),
+        # the whole file is parsed before any invariant is checked
+        ("time_s,temperature_c\n5,20\n5,21\nab,2\n", MalformedRow),
     ],
 )
 def test_parse_rejections(text, err):
     with pytest.raises(err):
+        parse_csv(text)
+
+
+def test_parse_reports_first_violation_by_line():
+    text = "time_s,temperature_c\n0,20\n0,21\n5,22\n10,20000\n"
+    with pytest.raises(NonIncreasingTime, match=r"^line 3: "):
         parse_csv(text)
 
 
@@ -82,7 +90,7 @@ def test_builtin_sums_match_decimal_oracle():
 def test_builtin_lookup():
     assert builtin_series("idle").label == "idle-load-85W"
     assert builtin_series("full").label == "full-load-150W"
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"unknown builtin series 'turbo'; choose from \('idle', 'full'\)"):
         builtin_series("turbo")
 
 
@@ -108,6 +116,21 @@ def test_validate_reports_empty_and_power():
     assert any(v.rule == "EmptySeries" for v in validate(Series("x", ())))
     bad_power = Series("x", (Sample(0.0, 20.0),), power_w=-3.0)
     assert any(v.rule == "OutOfRange" and v.index is None for v in validate(bad_power))
+
+
+def test_validate_lists_series_level_then_by_index():
+    s = Series(
+        "x",
+        (Sample(0.0, 20.0), Sample(0.0, 21.0), Sample(5.0, float("nan")), Sample(-1.0, 20.0)),
+        power_w=-3.0,
+    )
+    assert [(v.rule, v.index) for v in validate(s)] == [
+        ("OutOfRange", None),
+        ("NonIncreasingTime", 1),
+        ("OutOfRange", 2),
+        ("OutOfRange", 3),
+        ("NonIncreasingTime", 3),
+    ]
 
 
 _label_alpha = st.text(
@@ -152,3 +175,40 @@ def test_parse_never_yields_invalid_series(text):
     except ThermofitError:
         return
     assert validate(series) == []
+
+
+def _mostly(valid, odd):
+    """Draw from ``valid`` four times in five, else from ``odd``."""
+    return st.integers(0, 4).flatmap(lambda i: odd if i == 0 else valid)
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Times come from a small set half the time, so equal and decreasing
+# timestamps are common.
+_any_time = _mostly(
+    st.sampled_from([0.0, 1.0, 5.0, 60.0]) | st.floats(0.0, 60.0),
+    st.sampled_from([-1.0, _NAN, _INF, -_INF]),
+)
+_any_temp = _mostly(
+    st.floats(-273.15, 10000.0), st.sampled_from([-300.0, 10000.5, _NAN, _INF, -_INF])
+)
+_any_power = st.none() | _mostly(st.floats(1e-3, 1e9), st.sampled_from([0.0, -3.0, _NAN, _INF]))
+
+
+@st.composite
+def any_series(draw):
+    samples = draw(st.lists(st.builds(Sample, _any_time, _any_temp), max_size=6))
+    if draw(st.booleans()):
+        samples.sort(key=lambda s: s.time_s)
+    return Series(draw(_label_alpha), tuple(samples), draw(_any_power))
+
+
+@given(any_series())
+def test_parse_agrees_with_validate(series):
+    report = validate(series)
+    if not report:
+        assert parse_csv(to_csv(series)) == series
+        return
+    with pytest.raises(ThermofitError) as info:
+        parse_csv(to_csv(series))
+    assert type(info.value).__name__ == report[0].rule

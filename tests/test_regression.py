@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from thermofit import (
     Axis,
@@ -69,6 +69,12 @@ def test_summarize_single_origin_point():
 def test_summarize_empty():
     with pytest.raises(EmptyInput):
         summarize([])
+
+
+def test_summarize_sum_overflow_is_out_of_range():
+    # finite coordinates whose exact sum overflows: math.fsum's OverflowError was untyped
+    with pytest.raises(OutOfRange):
+        summarize([(1e308, 0.0), (1e308, 1.0)])
 
 
 def test_summarize_order_invariant_exactly():
@@ -385,3 +391,37 @@ def test_affine_equivariance():
             base.intercept - base.slope * c, rel=1e-9, abs=1e-7
         )
         assert shifted.r == pytest.approx(base.r, abs=1e-10)
+
+
+@given(st.integers(-300, 300))
+@example(160)  # squares overflow: slope and sse came back NaN
+@example(153)  # finite terms whose exact sum overflows
+@example(-160)  # squares subnormal: slope silently off in the 8th digit
+@example(-200)  # squares underflow to zero: a false DegenerateVariance
+def test_scaled_fit_is_exact_or_out_of_range(k):
+    scale = 10.0**k
+    pts = [(x * scale, y * scale) for x, y in FULL_PTS]
+    for axis in Axis:
+        base = ols_fit(FULL_PTS, axis)
+        try:
+            fit = ols_fit(pts, axis)
+        except OutOfRange:
+            continue
+        assert fit.slope == pytest.approx(base.slope, rel=1e-9)
+        assert fit.intercept == pytest.approx(base.intercept * scale, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pts,axis",
+    [
+        # x variance overflows while the cross sum does not: slope 0.0 came back
+        ([(-1e308, 0.0), (1e308, 1.0)], Axis.Y_ON_X),
+        # nearly uncorrelated x-on-y fit: re-expressed slope 1/m' overflowed to inf
+        ([(0.0, 0.0), (3e-154, 1.5e153), (3e-154, 3e153), (1e-160, 4.5e153)], Axis.X_ON_Y),
+        # valid logger times near the top of the double range: fsum overflowed
+        ([(1e308, 20.0), (1.2e308, 21.0), (1.4e308, 23.0)], Axis.Y_ON_X),
+    ],
+)
+def test_fits_outside_double_range_raise(pts, axis):
+    with pytest.raises(OutOfRange):
+        ols_fit(pts, axis)

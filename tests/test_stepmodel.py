@@ -18,7 +18,13 @@ from thermofit import (
     ols_fit,
     sse_gradient,
 )
-from thermofit.errors import InsufficientData, InvalidInit, SingularNormalMatrix
+from thermofit.errors import (
+    InsufficientData,
+    InvalidInit,
+    NonIncreasingTime,
+    OutOfRange,
+    SingularNormalMatrix,
+)
 
 from conftest import synth_series
 
@@ -151,6 +157,18 @@ def test_gauss_newton_input_checks():
     series = synth_series(20, 60, 15)
     with pytest.raises(InvalidInit):
         gauss_newton(series, StepModelParams(20, 60, 0.0))
+
+
+@pytest.mark.parametrize("solver", [gauss_newton, gradient_descent])
+@pytest.mark.parametrize(
+    "sample,err", [(Sample(10.0, float("nan")), OutOfRange), (Sample(5.0, 21.0), NonIncreasingTime)]
+)
+def test_solvers_refuse_invalid_series(solver, sample, err):
+    # Third sample replaced: a NaN reading, or a repeat of the second timestamp.
+    samples = list(synth_series(20, 60, 15).samples)
+    samples[2] = sample
+    with pytest.raises(err):
+        solver(Series("bad", tuple(samples)))
 
 
 def test_gauss_newton_trace_non_increasing():
