@@ -85,11 +85,18 @@ def _split(points: list[Point]) -> tuple[list[float], list[float]]:
 
 
 def _fsum(terms) -> float:
-    """Exact sum, raising OutOfRange where an intermediate sum overflows."""
+    """Exact sum; raises OutOfRange unless it is finite.
+
+    Covers a term that overflowed to inf or is NaN, and math.fsum's own
+    OverflowError (intermediate overflow) and ValueError (inf + -inf).
+    """
     try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise OutOfRange("a sum overflows the double range") from None
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise OutOfRange("a sum is outside the double range")
+    return total
 
 
 def summarize(points: list[Point]) -> SummaryStats:
@@ -151,8 +158,8 @@ def _regress(us, vs, ws, ubar, vbar, du, dv):
         raise OutOfRange("deviations too small to square without underflow")
     suu = _fsum(w * a * a for w, a in zip(ws, du))
     suv = _fsum(w * a * b for w, a, b in zip(ws, du, dv))
-    if not (sys.float_info.min <= suu < math.inf):
-        raise OutOfRange(f"sum of squared deviations {suu!r} is outside the double range")
+    if suu < sys.float_info.min:
+        raise OutOfRange(f"sum of squared deviations {suu!r} is below the normal double range")
     m = suv / suu
     b = vbar - m * ubar
     sse = _fsum(w * (v - (m * u + b)) ** 2 for w, u, v in zip(ws, us, vs))
@@ -174,8 +181,8 @@ def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
         if mp == 0.0:
             raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
         m, b = 1.0 / mp, -bp / mp
-    if not all(map(math.isfinite, (m, b, sse))):
-        raise OutOfRange(f"fit overflowed: slope={m!r}, intercept={b!r}, sse={sse!r}")
+    if not all(map(math.isfinite, (m, b))):
+        raise OutOfRange(f"fit overflowed: slope={m!r}, intercept={b!r}")
     return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
 
 

@@ -6,7 +6,16 @@ import json
 from dataclasses import dataclass
 
 from .dataset import Series
-from .regression import Axis, FitClass, LinearFit, classify_fit, ols_fit, predict, wls_fit
+from .regression import (
+    Axis,
+    FitClass,
+    LinearFit,
+    classify_fit,
+    ols_fit,
+    predict,
+    residuals,
+    wls_fit,
+)
 from .stepmodel import NlFit, StepModelParams, gauss_newton
 
 
@@ -14,8 +23,11 @@ from .stepmodel import NlFit, StepModelParams, gauss_newton
 class FitReport:
     """Everything a fit run produced, ready for rendering.
 
-    ``residual_table`` rows are (x, observed, predicted, residual) with
-    residual = observed - predicted.
+    ``residual_table`` rows are (x, observed, predicted, residual), where
+    predicted is the line's value at x and residual is the deviation the fit
+    minimized (``regression.residuals``): observed - predicted for a y-on-x
+    fit, the horizontal x - x(observed) for an x-on-y fit.  For an unweighted
+    fit the squared residuals therefore sum to ``linear.sse``.
     """
 
     series_label: str
@@ -43,10 +55,9 @@ def build_report(
         fit = wls_fit(points, weights)
     else:
         fit = ols_fit(points, axis)
-    rows = []
-    for x, y in points:
-        pred = predict(fit, x)
-        rows.append((x, y, pred, y - pred))
+    rows = [
+        (x, y, predict(fit, x), d) for (x, y), d in zip(points, residuals(fit, points))
+    ]
     nl = gauss_newton(series, nl_init, max_iter=nl_max_iter) if nonlinear else None
     return FitReport(
         series_label=series.label,

@@ -7,8 +7,11 @@ A lumped thermal mass driven by a power step warms as
 with initial temperature T_0, steady state T_inf, and time constant tau.
 Two solvers fit the three parameters to a measured series by minimizing the
 sum of squared residuals: Gauss-Newton and steepest descent.  Both are line
-searches over one residual/Jacobian core and one backtracking step-halving
-search; they differ only in direction, starting step, halvings and stopping.
+searches run by one iteration loop over one residual/Jacobian core and one
+backtracking step-halving search; they differ only in direction, starting
+step and halvings.  One rule stops both: converged when the SSE is 0 or its
+relative decrease over the last ``span`` iterations falls below ``tol``
+(``span`` is 1 for Gauss-Newton, ``window`` for steepest descent).
 """
 
 from __future__ import annotations
@@ -161,23 +164,79 @@ def default_init(series: Series) -> StepModelParams:
     )
 
 
-def _prepare(series: Series, init: StepModelParams | None):
+def _descend(series, init, max_iter, tol, *, span, tries, step, restart, direction) -> NlFit:
+    """The iteration loop of both solvers.
+
+    Each iteration backtracks along ``direction(theta, times, ys)`` from
+    ``step`` with up to ``tries`` trials; ``restart`` maps the accepted step
+    to the next start.  Converged: the SSE is 0, the direction is None (a
+    stationary point), or the relative SSE decrease over the last ``span``
+    iterations is below ``tol``.  Otherwise the loop stops at ``max_iter``
+    or when no damped step improves, returning the best iterate found.
+    """
     if len(series.samples) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
     _require_valid(series)
     theta = _checked_theta(default_init(series) if init is None else init)
-    return (theta, *_arrays(series))
+    times, ys = _arrays(series)
 
+    current = _sse(theta, times, ys)
+    trace = [(0, current)]
+    converged = current == 0.0
+    for k in range(1, max_iter + 1):
+        d = None if converged or current == 0.0 else direction(theta, times, ys)
+        if d is None:
+            converged = True
+            break
+        accepted = _backtrack(theta, d, step, tries, current, times, ys)
+        if accepted is None:
+            break
+        step, theta, current = accepted
+        step = restart(step)
+        trace.append((k, current))
+        if k >= span:
+            past = trace[k - span][1]
+            converged = past == 0.0 or (past - current) / past < tol
 
-def _result(theta: np.ndarray, sse: float, iterations: int, converged: bool, trace) -> NlFit:
     t0, tinf, tau = theta
     return NlFit(
         params=StepModelParams(float(t0), float(tinf), float(tau)),
-        sse=sse,
-        iterations=iterations,
+        sse=current,
+        iterations=len(trace) - 1,
         converged=converged,
         trace=tuple(trace),
     )
+
+
+def _normal_step(theta, times, ys, active):
+    """Gauss-Newton direction: (J'J) delta = J'r over the ``active`` parameters."""
+    J = _jac(theta, times)[:, active]
+    r = ys - _curve(theta, times)
+    jtj = J.T @ J
+    # Conditioning is measured on the column-equilibrated matrix so that
+    # parameter units (seconds vs degrees) cannot masquerade as rank
+    # deficiency; a zero diagonal means a structurally dead parameter.
+    d = np.sqrt(np.diag(jtj))
+    if np.any(d == 0.0):
+        raise SingularNormalMatrix(
+            "a model parameter has zero sensitivity everywhere; "
+            "it cannot be identified from this data"
+        )
+    cond = np.linalg.cond(jtj / np.outer(d, d))
+    if not np.isfinite(cond) or cond > _MAX_COND:
+        raise SingularNormalMatrix(
+            f"normal matrix condition {cond:.3e} exceeds {_MAX_COND:.0e}; "
+            "parameters are not identifiable from this data"
+        )
+    delta = np.zeros(3)
+    delta[active] = np.linalg.solve(jtj, J.T @ r)
+    return delta
+
+
+def _downhill(theta, times, ys):
+    """Steepest-descent direction, or None where the gradient is zero."""
+    grad = _gradient(theta, times, ys)
+    return -grad if np.any(grad) else None
 
 
 def gauss_newton(
@@ -197,51 +256,12 @@ def gauss_newton(
     ``freeze_tau`` the time constant stays at its initial value, leaving a
     problem that is linear in (T_0, T_inf) and solved exactly in one step.
     """
-    theta, times, ys = _prepare(series, init)
     active = [0, 1] if freeze_tau else [0, 1, 2]
-
-    current = _sse(theta, times, ys)
-    trace = [(0, current)]
-    converged = current == 0.0
-    iterations = 0
-
-    for k in range(1, max_iter + 1):
-        if converged or current == 0.0:
-            converged = True
-            break
-        J = _jac(theta, times)[:, active]
-        r = ys - _curve(theta, times)
-        jtj = J.T @ J
-        # Conditioning is measured on the column-equilibrated matrix so that
-        # parameter units (seconds vs degrees) cannot masquerade as rank
-        # deficiency; a zero diagonal means a structurally dead parameter.
-        d = np.sqrt(np.diag(jtj))
-        if np.any(d == 0.0):
-            raise SingularNormalMatrix(
-                "a model parameter has zero sensitivity everywhere; "
-                "it cannot be identified from this data"
-            )
-        cond = np.linalg.cond(jtj / np.outer(d, d))
-        if not np.isfinite(cond) or cond > _MAX_COND:
-            raise SingularNormalMatrix(
-                f"normal matrix condition {cond:.3e} exceeds {_MAX_COND:.0e}; "
-                "parameters are not identifiable from this data"
-            )
-        delta = np.linalg.solve(jtj, J.T @ r)
-        if freeze_tau:
-            delta = np.append(delta, 0.0)
-
-        accepted = _backtrack(theta, delta, 1.0, max_halvings + 1, current, times, ys)
-        if accepted is None:
-            break  # no damped step improves; return the best found
-        _, theta, new = accepted
-        iterations = k
-        trace.append((k, new))
-        if current > 0 and (current - new) / current < tol:
-            converged = True
-        current = new
-
-    return _result(theta, current, iterations, converged, trace)
+    return _descend(
+        series, init, max_iter, tol, span=1, tries=max_halvings + 1,
+        step=1.0, restart=lambda step: 1.0,
+        direction=lambda theta, times, ys: _normal_step(theta, times, ys, active),
+    )
 
 
 def gradient_descent(
@@ -260,32 +280,7 @@ def gradient_descent(
     (doubled), so the method adapts to the local scale.  Converged means the
     relative SSE decrease over a ``window``-iteration span fell below ``tol``.
     """
-    theta, times, ys = _prepare(series, init)
-
-    current = _sse(theta, times, ys)
-    trace = [(0, current)]
-    converged = current == 0.0
-    iterations = 0
-    alpha = learning_rate
-
-    for k in range(1, max_iter + 1):
-        if converged:
-            break
-        grad = _gradient(theta, times, ys)
-        if not np.any(grad):
-            converged = True
-            break
-
-        accepted = _backtrack(theta, -grad, alpha, 60, current, times, ys)
-        if accepted is None:
-            break  # at the numerical floor
-        step, theta, current = accepted
-        alpha = step * 2.0
-        iterations = k
-        trace.append((k, current))
-        if k >= window:
-            past = trace[k - window][1]
-            if past == 0.0 or (past - current) / past < tol:
-                converged = True
-
-    return _result(theta, current, iterations, converged, trace)
+    return _descend(
+        series, init, max_iter, tol, span=window, tries=60,
+        step=learning_rate, restart=lambda step: step * 2.0, direction=_downhill,
+    )

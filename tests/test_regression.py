@@ -425,3 +425,55 @@ def test_scaled_fit_is_exact_or_out_of_range(k):
 def test_fits_outside_double_range_raise(pts, axis):
     with pytest.raises(OutOfRange):
         ols_fit(pts, axis)
+
+
+# --- exact sums stay in the double range ---------------------------------------------
+
+_LINE_FITS = [_manual_fit(1.0, 0.0), _manual_fit(1.0, 0.0, Axis.X_ON_Y)]
+
+# A mantissa times a power of ten, from subnormal to near the double maximum.
+_scaled = st.builds(
+    lambda m, k: m * 10.0**k, st.floats(-1.79, 1.79, allow_nan=False), st.integers(-320, 308)
+)
+
+
+@given(st.lists(st.tuples(_scaled, _scaled), min_size=2, max_size=8))
+@example([(1e155, 1.0), (2e155, 2.0)])  # sum_x2 came back inf
+def test_sums_are_finite_or_out_of_range(pts):
+    def finite_or_out_of_range(call):
+        try:
+            values = call()
+        except OutOfRange:
+            return
+        assert all(map(math.isfinite, values))
+
+    finite_or_out_of_range(lambda: vars(summarize(pts)).values())
+    for fit in _LINE_FITS:
+        finite_or_out_of_range(lambda: [sse(fit, pts)])
+    if len(set(x for x, _ in pts)) > 1 and len(set(y for _, y in pts)) > 1:
+        finite_or_out_of_range(lambda: [correlation(pts)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a centered x overflows to inf; r came back 1.0 (it is about -0.85)
+        lambda: correlation([(1.7e308, 1.0), (-1.5e308, 2.0), (-0.8e308, 3.0)]),
+        # squares overflow term by term; sum_x2 came back inf
+        lambda: summarize([(1e155, 1.0), (2e155, 2.0)]),
+        # inf + -inf inside math.fsum raised an untyped ValueError
+        lambda: summarize([(1e200, 1e200), (-1e200, 1e200)]),
+        lambda: sse(_LINE_FITS[0], [(0.0, 0.0), (1e200, 1.0)]),  # came back inf
+        lambda: sse(_LINE_FITS[0], [(0.0, 0.0), (math.nan, 1.0)]),  # came back nan
+    ],
+    ids=[
+        "correlation-dev-overflow",
+        "summarize-square-overflow",
+        "summarize-inf-minus-inf",
+        "sse-overflow",
+        "sse-nan",
+    ],
+)
+def test_sums_outside_double_range_raise(call):
+    with pytest.raises(OutOfRange):
+        call()

@@ -1,9 +1,18 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from thermofit import Axis, StepModelParams, build_report, render_json, render_text
+from thermofit import (
+    Axis,
+    StepModelParams,
+    build_report,
+    predict,
+    render_json,
+    render_text,
+    residuals,
+)
 from thermofit.svgplot import render_plot
 
 
@@ -112,3 +121,15 @@ def test_svg_well_formed_for_odd_labels():
     report = build_report(series)
     svg = render_plot(series, report.linear)
     ET.fromstring(svg)  # must parse
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_report_residuals_follow_the_fit_axis(idle_series, axis):
+    # x-on-y residuals are horizontal, so their squares sum to the fit's own SSE
+    # (296.33 on idle), not to the vertical 180.40
+    report = build_report(idle_series, axis)
+    fit, points = report.linear, idle_series.points()
+    _, _, predicted, resid = zip(*report.residual_table)
+    assert list(predicted) == [predict(fit, x) for x, _ in points]
+    assert list(resid) == residuals(fit, points)
+    assert math.fsum(d * d for d in resid) == pytest.approx(fit.sse, rel=1e-12)

@@ -9,6 +9,7 @@ from thermofit import (
     Sample,
     Series,
     StepModelParams,
+    builtin_series,
     default_init,
     gauss_newton,
     gradient_descent,
@@ -247,3 +248,80 @@ def test_default_init(full_series):
     assert init.t_ambient_c == 20.2
     assert init.t_final_c == 56.8
     assert init.tau_s == pytest.approx((60.0 - 1.0) / 3.0)
+
+
+# --- stopping rule: one case for each way a solver's loop ends --------------------------
+
+_FLAT = Series("flat", tuple(Sample(float(t), 25.0) for t in range(0, 40, 5)))
+_NOISY = Series(
+    "noisy",
+    tuple(
+        Sample(s.time_s, s.temperature_c + ((i % 3) - 1) * 0.8)
+        for i, s in enumerate(synth_series(18, 70, 12).samples)
+    ),
+)
+# At tau = 1, exp(-t/tau) is exactly 1 at t = 0 and underflows to 0 after it.
+# So on _KINK the gradient is exactly zero at (20, 60, 1) while the residuals
+# (0, -10, 0, 10) leave an SSE of 200, and on _STEP one Gauss-Newton step with
+# tau frozen lands exactly on (20, 60), at an SSE of 0.
+_KINK = Series(
+    "kink", (Sample(0.0, 20.0), Sample(1000.0, 50.0), Sample(2000.0, 60.0), Sample(3000.0, 70.0))
+)
+_STEP = Series(
+    "step", (Sample(0.0, 20.0), Sample(1000.0, 60.0), Sample(2000.0, 60.0), Sample(3000.0, 60.0))
+)
+_FULL = builtin_series("full")
+_GN, _GD = gauss_newton, gradient_descent
+
+
+@pytest.mark.parametrize(
+    "solver,series,init,options,iterations,converged,sse",
+    [
+        (_GN, _FLAT, StepModelParams(25, 25, 10), {}, 0, True, 0.0),
+        (_GN, _STEP, StepModelParams(10, 30, 1), {"freeze_tau": True}, 1, True, 0.0),
+        (_GN, _FULL, None, {}, 12, True, 168.49401439372392),
+        (_GN, _FULL, None, {"tol": 0.9}, 1, True, 447.42020131315405),
+        (_GN, _FULL, None, {"max_iter": 1}, 1, False, 447.42020131315405),
+        (_GN, _FULL, StepModelParams(20, 500, 5), {"max_halvings": 0}, 2, False, 1377.8269773242694),
+        (_GD, _FLAT, StepModelParams(25, 25, 10), {}, 0, True, 0.0),
+        (_GD, _NOISY, StepModelParams(15, 50, 10), {"window": 10, "tol": 1e-6}, 86, True, 5.214544767978676),
+        (_GD, _FULL, None, {"window": 3, "tol": 0.5}, 3, True, 984.931578245728),
+        (_GD, _FULL, None, {"max_iter": 5}, 5, False, 944.232634121354),
+        (_GD, _FULL, None, {"learning_rate": 1e30}, 0, False, 997.4977749963198),
+        (_GD, _KINK, StepModelParams(20, 60, 1), {}, 0, True, 200.0),
+    ],
+    ids=[
+        "gn-sse-zero",
+        "gn-sse-reaches-zero",
+        "gn-tol-per-step",
+        "gn-tol-first-step",
+        "gn-max-iter",
+        "gn-no-improving-step",
+        "gd-sse-zero",
+        "gd-tol-over-window",
+        "gd-tol-first-window",
+        "gd-max-iter",
+        "gd-no-improving-step",
+        "gd-zero-gradient",
+    ],
+)
+def test_stop_rule_table(solver, series, init, options, iterations, converged, sse):
+    fit = solver(series, init, **options)
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+    assert len(fit.trace) == iterations + 1
+    assert [k for k, _ in fit.trace] == list(range(iterations + 1))
+    assert fit.trace[-1][1] == fit.sse
+    # SSEs may differ in the last bits across CPUs (np.exp, LAPACK)
+    assert fit.sse == pytest.approx(sse, rel=1e-9, abs=1e-300)
+    if converged and fit.sse > 0 and iterations > 0:
+        # the tolerance test holds over the last `span` iterations, and not one earlier
+        span = options.get("window", 100) if solver is _GD else 1
+        tol = options.get("tol", 1e-10)
+
+        def decrease(k):
+            past = fit.trace[k - span][1]
+            return (past - fit.trace[k][1]) / past
+
+        assert decrease(iterations) < tol
+        if iterations > span:
+            assert decrease(iterations - 1) >= tol
