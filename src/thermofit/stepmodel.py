@@ -9,9 +9,10 @@ Two solvers fit the three parameters to a measured series by minimizing the
 sum of squared residuals: Gauss-Newton and steepest descent.  Both are line
 searches run by one iteration loop over one residual/Jacobian core and one
 backtracking step-halving search; they differ only in direction, starting
-step and halvings.  One rule stops both: converged when the SSE is 0 or its
-relative decrease over the last ``span`` iterations falls below ``tol``
-(``span`` is 1 for Gauss-Newton, ``window`` for steepest descent).
+step and halvings.  One rule, tested once per SSE, stops both: converged when
+the SSE is 0 or its relative decrease over the last ``span`` iterations falls
+below ``tol`` (``span`` is 1 for Gauss-Newton, ``window`` for steepest
+descent).  Every function here refuses an invalid series or parameters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Series, _require_valid
-from .errors import InsufficientData, InvalidInit, SingularNormalMatrix
+from .errors import EmptySeries, InsufficientData, InvalidInit, OutOfRange, SingularNormalMatrix
 
 _MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
 
@@ -56,11 +57,21 @@ class JacobianMode(enum.Enum):
     FINITE_DIFF = "finite-diff"
 
 
+def _valid(t0: float, tinf: float, tau: float) -> bool:
+    """The one parameter check: all three finite and tau > 0."""
+    return math.isfinite(t0) and math.isfinite(tinf) and math.isfinite(tau) and tau > 0
+
+
+def _checked(params: StepModelParams) -> StepModelParams:
+    if not _valid(params.t_ambient_c, params.t_final_c, params.tau_s):
+        raise InvalidInit(f"invalid step-model parameters {params}")
+    return params
+
+
 def model_eval(params: StepModelParams, t: float) -> float:
     """Temperature at time t: T_inf + (T_0 - T_inf) * exp(-t / tau)."""
-    return params.t_final_c + (params.t_ambient_c - params.t_final_c) * math.exp(
-        -t / params.tau_s
-    )
+    p = _checked(params)
+    return p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
 
 
 def _curve(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -74,19 +85,9 @@ def _jac(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.column_stack([decay, 1.0 - decay, d_tau])
 
 
-def _valid(theta: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(theta))) and theta[2] > 0
-
-
-def _checked_theta(params: StepModelParams) -> np.ndarray:
-    theta = params.as_array()
-    if not _valid(theta):
-        raise InvalidInit(f"invalid step-model parameters {params}")
-    return theta
-
-
 def _arrays(series: Series) -> tuple[np.ndarray, np.ndarray]:
-    """The series as (times, temperatures) arrays."""
+    """The series, refused unless valid, as (times, temperatures) arrays."""
+    _require_valid(series)
     times = np.array([s.time_s for s in series.samples])
     ys = np.array([s.temperature_c for s in series.samples])
     return times, ys
@@ -102,21 +103,6 @@ def _gradient(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> np.ndarra
     return -2.0 * (_jac(theta, times).T @ r)
 
 
-def _backtrack(theta, direction, step, tries, current, times, ys):
-    """Halve ``step`` until theta + step*direction is valid with SSE <= current.
-
-    Returns (step, theta, sse) of the accepted trial, or None after ``tries``.
-    """
-    for _ in range(tries):
-        trial = theta + step * direction
-        if _valid(trial):
-            s = _sse(trial, times, ys)
-            if s <= current:
-                return step, trial, s
-        step *= 0.5
-    return None
-
-
 def jacobian(
     params: StepModelParams,
     times: list[float],
@@ -128,7 +114,7 @@ def jacobian(
     differences with step h_j = sqrt(machine eps) * max(1, |theta_j|) and
     serves as an independent check on the analytic formulas.
     """
-    theta = _checked_theta(params)
+    theta = _checked(params).as_array()
     t = np.asarray(times, dtype=float)
     if mode is JacobianMode.ANALYTIC:
         return _jac(theta, t)
@@ -146,18 +132,20 @@ def jacobian(
 
 def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     """Gradient of the SSE objective: -2 * J' r with r = observed - model."""
-    theta = _checked_theta(params)
-    return _gradient(theta, *_arrays(series))
+    times, ys = _arrays(series)
+    return _gradient(_checked(params).as_array(), times, ys)
 
 
 def model_sse(params: StepModelParams, series: Series) -> float:
     """Sum of squared residuals of the series against the model."""
     times, ys = _arrays(series)
-    return _sse(params.as_array(), times, ys)
+    return _sse(_checked(params).as_array(), times, ys)
 
 
 def default_init(series: Series) -> StepModelParams:
     """Heuristic start: first temperature, last temperature, a third of the span."""
+    if not series.samples:
+        raise EmptySeries("series has no samples")
     first, last = series.samples[0], series.samples[-1]
     return StepModelParams(
         first.temperature_c, last.temperature_c, (last.time_s - first.time_s) / 3.0
@@ -176,33 +164,38 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     """
     if len(series.samples) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
-    _require_valid(series)
-    theta = _checked_theta(default_init(series) if init is None else init)
     times, ys = _arrays(series)
+    theta = _checked(default_init(series) if init is None else init).as_array()
 
     current = _sse(theta, times, ys)
     trace = [(0, current)]
-    converged = current == 0.0
-    for k in range(1, max_iter + 1):
-        d = None if converged or current == 0.0 else direction(theta, times, ys)
-        if d is None:
-            converged = True
+    while True:
+        k = len(trace) - 1
+        # The one stopping rule; SSEs never increase, so past > 0 if current > 0.
+        past = trace[k - span][1] if k >= span else None
+        converged = current == 0.0 or (past is not None and (past - current) / past < tol)
+        if converged or k >= max_iter:
             break
-        accepted = _backtrack(theta, d, step, tries, current, times, ys)
-        if accepted is None:
+        d = direction(theta, times, ys)
+        converged = d is None
+        if converged:
             break
-        step, theta, current = accepted
-        step = restart(step)
-        trace.append((k, current))
-        if k >= span:
-            past = trace[k - span][1]
-            converged = past == 0.0 or (past - current) / past < tol
+        for _ in range(tries):
+            trial = theta + step * d
+            if _valid(*trial):
+                sse = _sse(trial, times, ys)
+                if sse <= current:
+                    break
+            step *= 0.5
+        else:
+            break
+        theta, current, step = trial, sse, restart(step)
+        trace.append((k + 1, current))
 
-    t0, tinf, tau = theta
     return NlFit(
-        params=StepModelParams(float(t0), float(tinf), float(tau)),
+        params=StepModelParams(*map(float, theta)),
         sse=current,
-        iterations=len(trace) - 1,
+        iterations=k,
         converged=converged,
         trace=tuple(trace),
     )
@@ -256,6 +249,8 @@ def gauss_newton(
     ``freeze_tau`` the time constant stays at its initial value, leaving a
     problem that is linear in (T_0, T_inf) and solved exactly in one step.
     """
+    if not max_halvings >= 0:
+        raise OutOfRange(f"max_halvings={max_halvings!r} must be >= 0")
     active = [0, 1] if freeze_tau else [0, 1, 2]
     return _descend(
         series, init, max_iter, tol, span=1, tries=max_halvings + 1,
@@ -280,6 +275,10 @@ def gradient_descent(
     (doubled), so the method adapts to the local scale.  Converged means the
     relative SSE decrease over a ``window``-iteration span fell below ``tol``.
     """
+    if not window >= 1:
+        raise OutOfRange(f"window={window!r} must be >= 1")
+    if not 0.0 < learning_rate < math.inf:
+        raise OutOfRange(f"learning_rate={learning_rate!r} must be positive and finite")
     return _descend(
         series, init, max_iter, tol, span=window, tries=60,
         step=learning_rate, restart=lambda step: step * 2.0, direction=_downhill,

@@ -9,7 +9,7 @@ assert on in tests.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .dataset import Series
 from .regression import LinearFit, predict
@@ -129,7 +129,7 @@ def render_plot(
     if series.label:
         parts.append(
             f'<text x="{_fmt(cx)}" y="24" text-anchor="middle" font-size="14">'
-            f"{escape(series.label)}</text>"
+            f"{escape(series.label, quote=False)}</text>"
         )
 
     for x, y in pts:

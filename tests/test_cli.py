@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import thermofit
 from thermofit import builtin_series, to_csv
 from thermofit.cli import main
 
@@ -299,3 +304,12 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.startswith("thermofit")
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client, ssl and email
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    code = "import sys, thermofit.cli; print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

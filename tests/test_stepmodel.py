@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from thermofit import (
     sse_gradient,
 )
 from thermofit.errors import (
+    EmptySeries,
     InsufficientData,
     InvalidInit,
     NonIncreasingTime,
@@ -74,11 +76,17 @@ def test_jacobian_analytic_vs_finite_difference():
         assert rel <= 1e-5
 
 
-def test_jacobian_rejects_bad_params():
-    with pytest.raises(InvalidInit):
-        jacobian(StepModelParams(20, 60, -1.0), [0.0])
-    with pytest.raises(InvalidInit):
-        jacobian(StepModelParams(float("nan"), 60, 5.0), [0.0])
+def test_step_model_rejects_bad_params():
+    series = synth_series(20, 60, 15)
+    for params in (StepModelParams(20, 60, 0.0), StepModelParams(20, 60, -5.0), StepModelParams(math.nan, 60, 5.0)):
+        for call in (
+            lambda: jacobian(params, [0.0]),
+            lambda: model_eval(params, 0.0),
+            lambda: model_sse(params, series),
+            lambda: sse_gradient(params, series),
+        ):
+            with pytest.raises(InvalidInit):
+                call()
 
 
 # --- gradient of the objective ----------------------------------------------------
@@ -160,7 +168,18 @@ def test_gauss_newton_input_checks():
         gauss_newton(series, StepModelParams(20, 60, 0.0))
 
 
-@pytest.mark.parametrize("solver", [gauss_newton, gradient_descent])
+_TRUTH = StepModelParams(20, 60, 15)
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        gauss_newton,
+        gradient_descent,
+        pytest.param(partial(model_sse, _TRUTH), id="model_sse"),
+        pytest.param(partial(sse_gradient, _TRUTH), id="sse_gradient"),
+    ],
+)
 @pytest.mark.parametrize(
     "sample,err", [(Sample(10.0, float("nan")), OutOfRange), (Sample(5.0, 21.0), NonIncreasingTime)]
 )
@@ -248,6 +267,25 @@ def test_default_init(full_series):
     assert init.t_ambient_c == 20.2
     assert init.t_final_c == 56.8
     assert init.tau_s == pytest.approx((60.0 - 1.0) / 3.0)
+    with pytest.raises(EmptySeries):
+        default_init(Series("empty", ()))
+
+
+@pytest.mark.parametrize(
+    "solver,option,value",
+    [
+        (gradient_descent, "window", 0),
+        (gradient_descent, "window", -1),
+        (gradient_descent, "learning_rate", 0.0),
+        (gradient_descent, "learning_rate", -1e-4),
+        (gradient_descent, "learning_rate", math.inf),
+        (gradient_descent, "learning_rate", math.nan),
+        (gauss_newton, "max_halvings", -1),
+    ],
+)
+def test_solvers_refuse_out_of_range_options(full_series, solver, option, value):
+    with pytest.raises(OutOfRange, match=option):
+        solver(full_series, **{option: value})
 
 
 # --- stopping rule: one case for each way a solver's loop ends --------------------------
@@ -279,6 +317,7 @@ _GN, _GD = gauss_newton, gradient_descent
     [
         (_GN, _FLAT, StepModelParams(25, 25, 10), {}, 0, True, 0.0),
         (_GN, _STEP, StepModelParams(10, 30, 1), {"freeze_tau": True}, 1, True, 0.0),
+        (_GN, _FLAT, StepModelParams(30, 40, 10), {"max_iter": 2}, 2, True, 0.0),
         (_GN, _FULL, None, {}, 12, True, 168.49401439372392),
         (_GN, _FULL, None, {"tol": 0.9}, 1, True, 447.42020131315405),
         (_GN, _FULL, None, {"max_iter": 1}, 1, False, 447.42020131315405),
@@ -293,6 +332,7 @@ _GN, _GD = gauss_newton, gradient_descent
     ids=[
         "gn-sse-zero",
         "gn-sse-reaches-zero",
+        "gn-sse-reaches-zero-at-max-iter",
         "gn-tol-per-step",
         "gn-tol-first-step",
         "gn-max-iter",
