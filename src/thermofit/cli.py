@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .dataset import BUILTIN_NAMES, Series, builtin_series, parse_csv
+from .dataset import BUILTIN_NAMES, Series, _number, builtin_series, parse_csv
 from .errors import MalformedRow, ThermofitError
 from .regression import Axis, correlation
 from .report import build_report, render_json, render_text
@@ -54,7 +54,7 @@ def _load_series(args) -> Series:
     if not args.input:
         raise UsageError("an input file or --builtin is required")
     try:
-        with open(args.input, encoding="utf-8-sig") as fh:
+        with open(args.input, encoding="utf-8-sig", newline="\n") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise MalformedRow(f"{args.input} is not valid UTF-8: {e}")
@@ -63,13 +63,13 @@ def _load_series(args) -> Series:
 
 def _load_weights(path: str) -> list[float]:
     weights = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                weights.append(float(line))
+                weights.append(_number(line))
             except ValueError:
                 raise MalformedRow(f"{path} line {lineno}: not a number: {line!r}")
     return weights
@@ -132,7 +132,7 @@ def cmd_correlate(args) -> int:
     series = _load_series(args)
     r = correlation(series.points())
     if args.as_json:
-        print(json.dumps({"r": r, "n": len(series.samples)}))
+        print(json.dumps({"r": r, "n": len(series.times)}))
     else:
         print(f"{r:.4f}")
     return 0

@@ -1,4 +1,4 @@
-"""Temperature/time series ingestion and validation.
+r"""Temperature/time series ingestion and validation.
 
 The one ingestion format is CSV:
 
@@ -8,15 +8,24 @@ The one ingestion format is CSV:
     1,20.2
     5,22.4
 
-Lines starting with ``#`` are comments; ``label`` and ``power_w`` comment
-keys are recognized before the header row. Timestamps must be strictly
-increasing and temperatures within the sanity bound [-273.15, 10000] degC.
+Lines are split at ``\n`` only and stripped of surrounding whitespace, so
+``\r\n`` line ends work and line numbers match an editor's.  Blank lines are
+skipped; lines starting with ``#`` are comments, and ``label`` and
+``power_w`` comment keys are recognized before the header row.  A data row is
+two numbers separated by a comma.  A number (a data field or the ``power_w``
+value) is ASCII, optionally padded with spaces, tabs, CR, VT or FF: an
+optional sign, then digits with an optional decimal point or a point and
+digits, then an optional exponent (``e`` or ``E``, optional sign, digits); or
+``inf``, ``infinity`` or ``nan`` in any case.  No ``_`` digit separators and
+no non-ASCII digits.  Timestamps must be strictly increasing and
+temperatures within the sanity bound [-273.15, 10000] degC.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange
 
@@ -26,30 +35,42 @@ TEMP_MAX_C = 10000.0
 _HEADER = "time_s,temperature_c"
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One temperature reading at a point in time."""
 
     time_s: float
     temperature_c: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Series:
     """A labeled, time-ordered sequence of readings under a stated power load.
 
+    The readings are stored as two tuples, ``times`` and ``temps``, of the
+    values given in ``samples`` (Samples or (time, temperature) pairs).
     Construction does not validate; use :func:`validate` to obtain a
-    violation report, or rely on :func:`parse_csv` which refuses to
-    produce an invalid Series.
+    violation report, or rely on :func:`parse_csv` which refuses to produce
+    an invalid Series.
     """
 
     label: str
-    samples: tuple[Sample, ...]
-    power_w: float | None = None
+    times: tuple[float, ...]
+    temps: tuple[float, ...]
+    power_w: float | None
+
+    def __init__(self, label: str, samples: Iterable[tuple[float, float]], power_w: float | None = None):
+        times, temps = tuple(zip(*samples, strict=True)) or ((), ())
+        for name, value in zip(("label", "times", "temps", "power_w"), (label, times, temps, power_w)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """The readings as Samples, a view built from the two columns."""
+        return tuple(map(Sample, self.times, self.temps))
 
     def points(self) -> list[tuple[float, float]]:
         """Return (time_s, temperature_c) pairs in order."""
-        return [(s.time_s, s.temperature_c) for s in self.samples]
+        return list(zip(self.times, self.temps))
 
 
 @dataclass(frozen=True)
@@ -67,13 +88,12 @@ class Violation:
 
 def _violations(series: Series):
     """Yield the violations :func:`validate` lists, in the same order."""
-    if not series.samples:
+    if not series.times:
         yield Violation("EmptySeries", None, "series has no samples")
     if series.power_w is not None and not (0 < series.power_w < math.inf):
         yield Violation("OutOfRange", None, f"power_w={series.power_w!r} must be positive")
     prev = None
-    for i, s in enumerate(series.samples):
-        t, y = s.time_s, s.temperature_c
+    for i, (t, y) in enumerate(zip(series.times, series.temps)):
         if not (0 <= t < math.inf):
             yield Violation("OutOfRange", i, f"time_s={t!r} must be finite and >= 0")
         if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
@@ -102,27 +122,41 @@ _ERRORS = {e.__name__: e for e in (EmptySeries, NonIncreasingTime, OutOfRange)}
 
 def _require_valid(series: Series, lines: list[int] | None = None) -> None:
     """Raise the typed error of the first violation, if any, without looking
-    further; ``lines[i]``, sample i's source line, prefixes its message."""
+    further; ``lines[i]``, sample i's source line, prefixes its message.
+    A series that passes is marked, so this immutable object is checked once."""
+    if getattr(series, "_valid", False):
+        return
     for v in _violations(series):
         where = "" if lines is None or v.index is None else f"line {lines[v.index]}: "
         raise _ERRORS[v.rule](where + v.message)
+    object.__setattr__(series, "_valid", True)
+
+
+def _number(text: str) -> float:
+    """``float(text)`` held to the module's number grammar: ASCII, no ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
 
 
 def parse_csv(text: str) -> Series:
     """Parse CSV text into a Series, refusing anything that breaks an invariant.
 
-    Raises MalformedRow for a syntax error anywhere in the text; otherwise
+    Raises MalformedRow for a syntax error anywhere in the text, including a
+    number outside the module's grammar; otherwise
     the error of the first violation :func:`validate` would list
     (NonIncreasingTime, EmptySeries, or OutOfRange), prefixed with its line
-    when it belongs to a sample.  Never returns an invalid Series.
+    when it belongs to a sample.  Never returns an invalid Series, and the
+    one it returns is marked valid, so the step-model functions do not
+    check it again.
     """
     label = ""
     power_w: float | None = None
-    samples: list[Sample] = []
+    rows: list[tuple[float, float]] = []
     lines: list[int] = []
     seen_header = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -134,7 +168,7 @@ def parse_csv(text: str) -> Series:
                     label = value.strip()
                 elif key == "power_w":
                     try:
-                        power_w = float(value)
+                        power_w = _number(value)
                     except ValueError:
                         raise MalformedRow(f"line {lineno}: power_w is not a number: {value.strip()!r}")
             continue
@@ -147,14 +181,16 @@ def parse_csv(text: str) -> Series:
         if len(fields) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
-            samples.append(Sample(float(fields[0]), float(fields[1])))
+            if not line.isascii() or "_" in line:  # _number's check, once per row
+                raise ValueError(line)
+            rows.append((float(fields[0]), float(fields[1])))
         except ValueError:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
         lines.append(lineno)
 
     if not seen_header:
         raise MalformedRow(f"missing header row {_HEADER!r}")
-    series = Series(label=label, samples=tuple(samples), power_w=power_w)
+    series = Series(label, rows, power_w)
     _require_valid(series, lines)
     return series
 
@@ -171,8 +207,8 @@ def to_csv(series: Series) -> str:
     if series.power_w is not None:
         lines.append(f"# power_w: {series.power_w!r}")
     lines.append(_HEADER)
-    for s in series.samples:
-        lines.append(f"{s.time_s!r},{s.temperature_c!r}")
+    for t, y in zip(series.times, series.temps):
+        lines.append(f"{t!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -203,4 +239,4 @@ def builtin_series(name: str) -> Series:
     if name not in _BUILTINS:
         raise KeyError(f"unknown builtin series {name!r}; choose from {BUILTIN_NAMES}")
     label, temps, power_w = _BUILTINS[name]
-    return Series(label, tuple(Sample(float(t), y) for t, y in zip(_TIMES_S, temps)), power_w)
+    return Series(label, zip(map(float, _TIMES_S), temps), power_w)

@@ -12,13 +12,17 @@ backtracking step-halving search; they differ only in direction, starting
 step and halvings.  One rule, tested once per SSE, stops both: converged when
 the SSE is 0 or its relative decrease over the last ``span`` iterations falls
 below ``tol`` (``span`` is 1 for Gauss-Newton, ``window`` for steepest
-descent).  Every function here refuses an invalid series or parameters.
+descent).  Every function here refuses an invalid series or parameters (a
+Series object is validated once, however many functions take it), the
+solvers refuse out-of-range options, and ``model_eval`` a time at which the
+model is not finite.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +73,29 @@ def _checked(params: StepModelParams) -> StepModelParams:
 
 
 def model_eval(params: StepModelParams, t: float) -> float:
-    """Temperature at time t: T_inf + (T_0 - T_inf) * exp(-t / tau)."""
+    """Temperature at time t: T_inf + (T_0 - T_inf) * exp(-t / tau).
+
+    Raises OutOfRange when that is not a finite number (t NaN, or so far
+    before the step that the exponential overflows); t = +inf gives T_inf.
+    """
     p = _checked(params)
-    return p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
+    try:
+        value = p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfRange(f"t={t!r} gives no finite model temperature")
+    return value
+
+
+def _require_count(name: str, value, low: int) -> None:
+    """Raise OutOfRange naming the option unless ``value`` is an integer >= ``low``."""
+    try:
+        ok = operator.index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise OutOfRange(f"{name}={value!r} must be an integer >= {low}")
 
 
 def _curve(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -88,9 +112,7 @@ def _jac(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
 def _arrays(series: Series) -> tuple[np.ndarray, np.ndarray]:
     """The series, refused unless valid, as (times, temperatures) arrays."""
     _require_valid(series)
-    times = np.array([s.time_s for s in series.samples])
-    ys = np.array([s.temperature_c for s in series.samples])
-    return times, ys
+    return np.array(series.times, dtype=float), np.array(series.temps, dtype=float)
 
 
 def _sse(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> float:
@@ -144,12 +166,10 @@ def model_sse(params: StepModelParams, series: Series) -> float:
 
 def default_init(series: Series) -> StepModelParams:
     """Heuristic start: first temperature, last temperature, a third of the span."""
-    if not series.samples:
+    if not series.times:
         raise EmptySeries("series has no samples")
-    first, last = series.samples[0], series.samples[-1]
-    return StepModelParams(
-        first.temperature_c, last.temperature_c, (last.time_s - first.time_s) / 3.0
-    )
+    times, temps = series.times, series.temps
+    return StepModelParams(temps[0], temps[-1], (times[-1] - times[0]) / 3.0)
 
 
 def _descend(series, init, max_iter, tol, *, span, tries, step, restart, direction) -> NlFit:
@@ -162,7 +182,10 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     iterations is below ``tol``.  Otherwise the loop stops at ``max_iter``
     or when no damped step improves, returning the best iterate found.
     """
-    if len(series.samples) < 4:
+    _require_count("max_iter", max_iter, 0)
+    if not tol >= 0:
+        raise OutOfRange(f"tol={tol!r} must be >= 0")
+    if len(series.times) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
     times, ys = _arrays(series)
     theta = _checked(default_init(series) if init is None else init).as_array()
@@ -249,8 +272,7 @@ def gauss_newton(
     ``freeze_tau`` the time constant stays at its initial value, leaving a
     problem that is linear in (T_0, T_inf) and solved exactly in one step.
     """
-    if not max_halvings >= 0:
-        raise OutOfRange(f"max_halvings={max_halvings!r} must be >= 0")
+    _require_count("max_halvings", max_halvings, 0)
     active = [0, 1] if freeze_tau else [0, 1, 2]
     return _descend(
         series, init, max_iter, tol, span=1, tries=max_halvings + 1,
@@ -275,8 +297,7 @@ def gradient_descent(
     (doubled), so the method adapts to the local scale.  Converged means the
     relative SSE decrease over a ``window``-iteration span fell below ``tol``.
     """
-    if not window >= 1:
-        raise OutOfRange(f"window={window!r} must be >= 1")
+    _require_count("window", window, 1)
     if not 0.0 < learning_rate < math.inf:
         raise OutOfRange(f"learning_rate={learning_rate!r} must be positive and finite")
     return _descend(

@@ -63,13 +63,11 @@ def render_plot(
     The fitted line is the single <line> element; the nonlinear curve, when
     present, is one extra <path> beyond the axes path.
     """
-    pts = series.points()
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs, ys = series.times, series.temps
 
     x_lo, x_hi = min(xs), max(xs)
     line_y = [predict(fit, x_lo), predict(fit, x_hi)]
-    y_all = ys + line_y
+    y_all = [*ys, *line_y]
     if nl_params is not None:
         # the step response is monotone in t, so its extremes on the plotted
         # range sit at the endpoints (t_final_c may lie far outside the plot)
@@ -132,7 +130,7 @@ def render_plot(
             f"{escape(series.label, quote=False)}</text>"
         )
 
-    for x, y in pts:
+    for x, y in zip(xs, ys):
         parts.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="{POINT_COLOR}"/>'
         )

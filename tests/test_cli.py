@@ -84,6 +84,30 @@ def test_fit_accepts_utf8_bom(capsys, tmp_path):
     assert outs[1] == outs[0]
 
 
+_CSV = "time_s,temperature_c\n0,0\n1,1\n2,5\n"
+
+
+@pytest.mark.parametrize(
+    "csv_text,weights_text,code,err",
+    [
+        (_CSV.replace("\n", "\r\n"), "1\r\n1\r\n1e6\r\n", 0, ""),
+        # lines end at \n only, so a lone \r does not break a line
+        (_CSV.replace("\n", "\r"), "1\n1\n1e6\n", 1, "E_MALFORMED_ROW: line 1: "),
+        (_CSV, "1\r1\r1e6\r", 1, "E_MALFORMED_ROW: {w} line 1: "),
+        (_CSV, "1\n1_0\n1e6\n", 1, "E_MALFORMED_ROW: {w} line 2: "),
+        (_CSV, "1\n\u0661\n1e6\n", 1, "E_MALFORMED_ROW: {w} line 2: "),
+    ],
+    ids=["crlf", "lone-cr-csv", "lone-cr-weights", "underscore-weight", "arabic-indic-weight"],
+)
+def test_fit_input_files_follow_the_csv_grammar(capsys, tmp_path, csv_text, weights_text, code, err):
+    data, wfile = tmp_path / "d.csv", tmp_path / "w.txt"
+    data.write_bytes(csv_text.encode("utf-8"))
+    wfile.write_bytes(weights_text.encode("utf-8"))
+    got = run(capsys, "fit", str(data), "--weights", str(wfile), "--json")
+    assert got[0] == code
+    assert got[2].startswith(err.format(w=wfile)) and bool(got[2]) == bool(err)
+
+
 def test_fit_weights_length_mismatch(capsys, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("time_s,temperature_c\n0,0\n1,1\n2,5\n", encoding="utf-8")

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from thermofit import Sample, Series, builtin_series, builtin_profiles, parse_csv, to_csv, validate
+from thermofit import Sample, Series, builtin_series, builtin_profiles, gauss_newton, parse_csv, to_csv, validate
+from thermofit import dataset
 from thermofit.errors import (
     EmptySeries,
     MalformedRow,
@@ -55,6 +58,12 @@ def test_parse_header_only():
         ("# power_w: lots\ntime_s,temperature_c\n1,20\n", MalformedRow),
         # the whole file is parsed before any invariant is checked
         ("time_s,temperature_c\n5,20\n5,21\nab,2\n", MalformedRow),
+        # numbers are ASCII without digit separators; lines end at \n only
+        ("time_s,temperature_c\n1_0,2_0\n", MalformedRow),
+        ("time_s,temperature_c\n\u0661,\u0662\u0660\n", MalformedRow),
+        ("# power_w: 1_50\ntime_s,temperature_c\n1,20\n", MalformedRow),
+        ("# power_w: \u0661\u0665\u0660\ntime_s,temperature_c\n1,20\n", MalformedRow),
+        ("time_s,temperature_c\r1,20\r", MalformedRow),
     ],
 )
 def test_parse_rejections(text, err):
@@ -66,6 +75,38 @@ def test_parse_reports_first_violation_by_line():
     text = "time_s,temperature_c\n0,20\n0,21\n5,22\n10,20000\n"
     with pytest.raises(NonIncreasingTime, match=r"^line 3: "):
         parse_csv(text)
+
+
+def test_parse_counts_lines_at_newlines_only():
+    assert parse_csv("time_s,temperature_c\r\n1,20\r\n2,21\r\n").points() == [(1.0, 20.0), (2.0, 21.0)]
+    for brk in ("\f", "\v", "\x1c", "\u2028"):
+        with pytest.raises(MalformedRow, match=r"^line 3: "):
+            parse_csv(f"time_s,temperature_c\n0,20{brk}\nab,2\n")
+
+
+# The number grammar of the dataset docstring and the README, as a regex.
+_PAD = "[ \t\r\x0b\x0c]*"
+_NUMBER = re.compile(
+    rf"{_PAD}[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan){_PAD}",
+    re.IGNORECASE | re.ASCII,
+)
+_any_field = st.from_regex(_NUMBER, fullmatch=True) | st.text(
+    "0123456789+-.eEinfatyINFATY_ \t\r\x0b\x0c\x1c\u2028\u3000\u0661\uff11x", max_size=8
+)
+
+
+@given(_any_field, _any_field)
+def test_parse_accepts_exactly_the_number_grammar(a, b):
+    # A line is stripped before it is split into fields.
+    expected = all(_NUMBER.fullmatch(f) for f in f"{a},{b}".strip().split(","))
+    try:
+        parse_csv(f"time_s,temperature_c\n{a},{b}\n")
+    except MalformedRow:
+        assert not expected
+    except ThermofitError:  # a number that breaks an invariant was still parsed
+        assert expected
+    else:
+        assert expected
 
 
 def test_builtin_shapes():
@@ -212,3 +253,51 @@ def test_parse_agrees_with_validate(series):
     with pytest.raises(ThermofitError) as info:
         parse_csv(to_csv(series))
     assert type(info.value).__name__ == report[0].rule
+
+
+# any_series' samples, some with int times and temperatures: a series built in
+# code keeps them, so to_csv writes "5", not "5.0".
+_any_samples = st.lists(
+    st.builds(Sample, _any_time | st.integers(-1, 60), _any_temp | st.integers(-300, 10001)), max_size=6
+)
+
+
+@given(_any_samples, _label_alpha, _any_power, st.sampled_from([tuple, list, iter]))
+def test_series_columns_hold_the_samples(samples, label, power, container):
+    series = Series(label, tuple(samples), power)
+    assert len(series.samples) == len(samples)
+    assert all(type(a) is Sample and a == b for a, b in zip(series.samples, samples))
+    assert series.times == tuple(s.time_s for s in samples)
+    assert series.temps == tuple(s.temperature_c for s in samples)
+    assert series.points() == [(s.time_s, s.temperature_c) for s in samples]
+    twin = Series(label=label, samples=container([tuple(s) for s in samples]), power_w=power)
+    assert twin == series and hash(twin) == hash(series)
+    head = [f"# label: {label}"] * bool(label) + [f"# power_w: {power!r}"] * (power is not None)
+    rows = [f"{t!r},{y!r}" for t, y in samples]
+    assert to_csv(series) == "\n".join(head + ["time_s,temperature_c"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Series)] + ["samples"])
+def test_series_is_immutable(name):
+    series = builtin_series("full")
+    with pytest.raises(AttributeError):
+        setattr(series, name, ())
+    with pytest.raises(AttributeError):
+        series.samples[0].time_s = 0.0
+
+
+@pytest.mark.parametrize("samples", [[(1.0, 2.0, 3.0), (4.0, 5.0)], [(1.0, 2.0, 3.0)], [(1.0,)]])
+def test_series_refuses_samples_that_are_not_pairs(samples):
+    with pytest.raises(ValueError):
+        Series("x", samples)
+
+
+def test_parsed_series_is_validated_once(monkeypatch):
+    calls = []
+    real = dataset._violations
+    monkeypatch.setattr(dataset, "_violations", lambda series: calls.append(series) or real(series))
+    series = parse_csv(to_csv(builtin_series("full")))
+    gauss_newton(series)
+    assert calls == [series]
+    # validate is the reference: it always runs the full check
+    assert validate(series) == [] and len(calls) == 2

@@ -52,6 +52,14 @@ def test_model_eval_one_time_constant():
     assert model_eval(StepModelParams(20, 60, 10), 10.0) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("t", [-1e4, math.nan, -math.inf])
+def test_model_eval_refuses_a_non_finite_temperature(t):
+    # exp(1000) overflows; NaN and -inf would otherwise come back as results
+    with pytest.raises(OutOfRange, match=r"^t="):
+        model_eval(StepModelParams(20, 60, 10), t)
+    assert model_eval(StepModelParams(20, 60, 10), math.inf) == 60.0
+
+
 # --- jacobian --------------------------------------------------------------------
 
 
@@ -281,6 +289,14 @@ def test_default_init(full_series):
         (gradient_descent, "learning_rate", math.inf),
         (gradient_descent, "learning_rate", math.nan),
         (gauss_newton, "max_halvings", -1),
+        (gauss_newton, "max_halvings", 1.5),
+        (gradient_descent, "window", 2.5),
+        (gauss_newton, "max_iter", -3),
+        (gradient_descent, "max_iter", -1),
+        (gauss_newton, "max_iter", 2.5),
+        (gauss_newton, "tol", math.nan),
+        (gauss_newton, "tol", -1.0),
+        (gradient_descent, "tol", math.nan),
     ],
 )
 def test_solvers_refuse_out_of_range_options(full_series, solver, option, value):
@@ -321,6 +337,7 @@ _GN, _GD = gauss_newton, gradient_descent
         (_GN, _FULL, None, {}, 12, True, 168.49401439372392),
         (_GN, _FULL, None, {"tol": 0.9}, 1, True, 447.42020131315405),
         (_GN, _FULL, None, {"max_iter": 1}, 1, False, 447.42020131315405),
+        (_GN, _FULL, None, {"max_iter": 0}, 0, False, 997.4977749963198),
         (_GN, _FULL, StepModelParams(20, 500, 5), {"max_halvings": 0}, 2, False, 1377.8269773242694),
         (_GD, _FLAT, StepModelParams(25, 25, 10), {}, 0, True, 0.0),
         (_GD, _NOISY, StepModelParams(15, 50, 10), {"window": 10, "tol": 1e-6}, 86, True, 5.214544767978676),
@@ -336,6 +353,7 @@ _GN, _GD = gauss_newton, gradient_descent
         "gn-tol-per-step",
         "gn-tol-first-step",
         "gn-max-iter",
+        "gn-max-iter-zero",
         "gn-no-improving-step",
         "gd-sse-zero",
         "gd-tol-over-window",
