@@ -132,9 +132,14 @@ def _require_valid(series: Series, lines: list[int] | None = None) -> None:
     object.__setattr__(series, "_valid", True)
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` keeps to the module's number alphabet: ASCII, no ``_``."""
+    return text.isascii() and "_" not in text
+
+
 def _number(text: str) -> float:
-    """``float(text)`` held to the module's number grammar: ASCII, no ``_``."""
-    if not text.isascii() or "_" in text:
+    """``float(text)``, refused with ValueError unless ``text`` is :func:`_plain`."""
+    if not _plain(text):
         raise ValueError(text)
     return float(text)
 
@@ -181,7 +186,7 @@ def parse_csv(text: str) -> Series:
         if len(fields) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
-            if not line.isascii() or "_" in line:  # _number's check, once per row
+            if not _plain(line):  # once per row, not once per field
                 raise ValueError(line)
             rows.append((float(fields[0]), float(fields[1])))
         except ValueError:

@@ -90,8 +90,16 @@ _NUMBER = re.compile(
     rf"{_PAD}[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan){_PAD}",
     re.IGNORECASE | re.ASCII,
 )
-_any_field = st.from_regex(_NUMBER, fullmatch=True) | st.text(
-    "0123456789+-.eEinfatyINFATY_ \t\r\x0b\x0c\x1c\u2028\u3000\u0661\uff11x", max_size=8
+# Digits joined by a '_' or a non-ASCII digit: float() takes these, the grammar does not.
+_near_miss = st.tuples(
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(["_", "\u0661", "\uff11", "\u0966"]),
+    st.from_regex(r"[0-9]{0,3}", fullmatch=True),
+).map("".join)
+_any_field = (
+    st.from_regex(_NUMBER, fullmatch=True)
+    | _near_miss
+    | st.text("0123456789+-.eEinfatyINFATY_ \t\r\x0b\x0c\x1c\u2028\u3000\u0661\uff11x", max_size=8)
 )
 
 
@@ -104,6 +112,20 @@ def test_parse_accepts_exactly_the_number_grammar(a, b):
     except MalformedRow:
         assert not expected
     except ThermofitError:  # a number that breaks an invariant was still parsed
+        assert expected
+    else:
+        assert expected
+
+
+@given(_any_field)
+def test_power_w_accepts_exactly_the_number_grammar(a):
+    # The comment line is stripped, then its value is everything after ':'.
+    expected = _NUMBER.fullmatch(f"# power_w:{a}".strip().partition(":")[2])
+    try:
+        parse_csv(f"# power_w:{a}\ntime_s,temperature_c\n1,20\n")
+    except MalformedRow:
+        assert not expected
+    except ThermofitError:  # e.g. a negative or NaN rating, still a number
         assert expected
     else:
         assert expected
