@@ -4,6 +4,9 @@ Fits lines (ordinary and weighted least squares, regression on either axis)
 and first-order thermal step-response curves to temperature/time series,
 reports goodness of fit via the correlation coefficient, and predicts
 junction temperatures from thermal-resistance catalogs.
+
+The step-response solvers need numpy, so their five names are looked up in
+``stepfit`` on first use; importing the package does not load numpy.
 """
 
 from .dataset import Sample, Series, Violation, builtin_series, builtin_profiles, parse_csv, to_csv, validate
@@ -22,18 +25,7 @@ from .regression import (
     wls_fit,
 )
 from .report import FitReport, build_report, render_json, render_text
-from .stepmodel import (
-    JacobianMode,
-    NlFit,
-    StepModelParams,
-    default_init,
-    gauss_newton,
-    gradient_descent,
-    jacobian,
-    model_eval,
-    model_sse,
-    sse_gradient,
-)
+from .stepmodel import JacobianMode, NlFit, StepModelParams, default_init, model_eval
 from .thermal import (
     PENTIUM_D_915,
     HeatSinkEntry,
@@ -93,3 +85,17 @@ __all__ = [
     "validate",
     "wls_fit",
 ]
+
+_SOLVER_NAMES = ("gauss_newton", "gradient_descent", "jacobian", "model_sse", "sse_gradient")
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import stepfit
+
+        return getattr(stepfit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_SOLVER_NAMES])

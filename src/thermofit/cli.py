@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from . import __version__
 from .dataset import BUILTIN_NAMES, Series, _number, builtin_series, parse_csv
-from .errors import MalformedRow, ThermofitError
+from .errors import MalformedRow, OutOfRange, ThermofitError
 from .regression import Axis, correlation
 from .report import build_report, render_json, render_text
 from .svgplot import render_plot
@@ -124,7 +124,10 @@ def cmd_predict(args) -> int:
         slope, intercept = args.slope, args.intercept
     if not all(map(math.isfinite, (slope, intercept, args.x))):
         raise UsageError("slope, intercept, and x must be finite")
-    print(f"{slope * args.x + intercept:.4f}")
+    y = slope * args.x + intercept
+    if not math.isfinite(y):
+        raise OutOfRange(f"y = {slope!r} * {args.x!r} + {intercept!r} overflows")
+    print(f"{y:.4f}")
     return 0
 
 

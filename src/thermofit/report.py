@@ -16,7 +16,7 @@ from .regression import (
     residuals,
     wls_fit,
 )
-from .stepmodel import NlFit, StepModelParams, gauss_newton
+from .stepmodel import NlFit, StepModelParams
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def build_report(
     """Fit a series and assemble the report.
 
     With ``weights`` the linear fit is weighted (y-on-x only); with
-    ``nonlinear`` a Gauss-Newton step-response fit is attached.
+    ``nonlinear`` a Gauss-Newton step-response fit is attached, which
+    imports numpy on first use.
     """
     points = series.points()
     if weights is not None:
@@ -58,7 +59,11 @@ def build_report(
     rows = [
         (x, y, predict(fit, x), d) for (x, y), d in zip(points, residuals(fit, points))
     ]
-    nl = gauss_newton(series, nl_init, max_iter=nl_max_iter) if nonlinear else None
+    nl = None
+    if nonlinear:
+        from .stepfit import gauss_newton  # deferred: stepfit imports numpy
+
+        nl = gauss_newton(series, nl_init, max_iter=nl_max_iter)
     return FitReport(
         series_label=series.label,
         linear=fit,

@@ -108,6 +108,13 @@ def builtin_heatsinks() -> list[HeatSinkEntry]:
     return [HeatSinkEntry(n, sa) for n, sa in _HEATSINKS]
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or OutOfRange where finite inputs overflowed to +-inf."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"{what} overflows: {value!r}")
+    return value
+
+
 def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float) -> float:
     """Predicted junction temperature: t_ambient_c + power_w * theta_total."""
     if power_w < 0:
@@ -116,7 +123,7 @@ def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float)
         raise NonPositiveResistance(f"theta_total {theta_total} must be positive")
     if not all(map(math.isfinite, (power_w, theta_total, t_ambient_c))):
         raise OutOfRange("junction_temperature inputs must be finite")
-    return t_ambient_c + power_w * theta_total
+    return _finite(t_ambient_c + power_w * theta_total, "junction temperature")
 
 
 def max_power(t_j_max_c: float, theta_total: float, t_ambient_c: float) -> float:
@@ -129,7 +136,7 @@ def max_power(t_j_max_c: float, theta_total: float, t_ambient_c: float) -> float
         raise InvertedTemperatures(
             f"t_j_max_c {t_j_max_c} does not exceed ambient {t_ambient_c}"
         )
-    return (t_j_max_c - t_ambient_c) / theta_total
+    return _finite((t_j_max_c - t_ambient_c) / theta_total, "max_power")
 
 
 def select_heatsink(

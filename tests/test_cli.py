@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import thermofit
 from thermofit import builtin_series, to_csv
@@ -232,6 +236,34 @@ def test_predict_malformed_report(capsys, tmp_path):
     assert err.startswith("E_USAGE:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "-m", "1e308", "-b", "0", "-x", "10"),
+        ("predict", "-x=-1e308", "-m", "2", "-b", "0"),
+        ("predict", "-m", "1e308", "-b", "1e308", "-x", "1"),
+        ("thermal", "junction", "-p", "1e308", "-r", "10", "-a", "20"),
+    ],
+    ids=["predict-inf", "predict-minus-inf", "predict-sum", "junction"],
+)
+def test_overflow_is_out_of_range_not_inf(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("E_OUT_OF_RANGE:") and "overflows" in err
+
+
+@given(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+def test_predict_prints_a_finite_number_or_out_of_range(slope, intercept, x):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", f"--slope={slope!r}", f"--intercept={intercept!r}", f"-x={x!r}"])
+    if code == 0:
+        assert math.isfinite(float(out.getvalue()))
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("E_OUT_OF_RANGE:")
+
+
 # --- correlate ----------------------------------------------------------------------
 
 
@@ -337,3 +369,41 @@ def test_cli_import_skips_heavy_stdlib_modules():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_RUN_AS_THERMOFIT = """
+import runpy, sys
+try:
+    runpy.run_module("thermofit", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print("numpy" in sys.modules, code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,numpy_loaded",
+    [
+        pytest.param((), False, id="import"),
+        pytest.param(("fit", "--builtin", "full", "--json"), False, id="fit-json"),
+        pytest.param(("fit", "--builtin", "full"), False, id="fit-text"),
+        pytest.param(("correlate", "--builtin", "idle"), False, id="correlate"),
+        pytest.param(("predict", "-m", "0.7288", "-b", "17.504", "-x", "60"), False, id="predict"),
+        pytest.param(
+            ("thermal", "select", "-p", "0.5", "--t-j-max", "63.4", "-a", "20.2", "--theta-jc", "3"),
+            False,
+            id="thermal-select",
+        ),
+        pytest.param(("plot", "--builtin", "full", "-o", "paper.svg"), False, id="plot"),
+        pytest.param(("fit", "--builtin", "full", "--nonlinear"), True, id="fit-nonlinear"),
+        pytest.param(("plot", "--builtin", "full", "--nonlinear", "-o", "paper.svg"), True, id="plot-nonlinear"),
+    ],
+)
+def test_numpy_is_loaded_only_to_fit_a_curve(tmp_path, argv, numpy_loaded):
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = _RUN_AS_THERMOFIT if argv else "import sys, thermofit.cli; print('numpy' in sys.modules, 0)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == f"{numpy_loaded} 0"

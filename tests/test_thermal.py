@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from thermofit import (
     PENTIUM_D_915,
@@ -118,6 +120,44 @@ def test_max_power_round_trip(t_rise, theta, ambient):
     t_j_max = ambient + t_rise
     p = max_power(t_j_max, theta, ambient)
     assert junction_temperature(p, theta, ambient) == pytest.approx(t_j_max, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: junction_temperature(1e308, 10.0, 20.0), id="junction-power-times-theta"),
+        pytest.param(lambda: junction_temperature(1.0, 1e308, 1e308), id="junction-plus-ambient"),
+        pytest.param(lambda: max_power(1e308, 1.0, -1e308), id="max-power-rise"),
+        pytest.param(lambda: max_power(1.0, 1e-310, 0.0), id="max-power-subnormal-theta"),
+    ],
+)
+def test_overflow_is_out_of_range_not_inf(call):
+    with pytest.raises(OutOfRange, match="overflows"):
+        call()
+
+
+def _finite_or_out_of_range(f, *args):
+    try:
+        value = f(*args)
+    except OutOfRange:
+        return
+    assert math.isfinite(value)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(_NON_NEGATIVE, _POSITIVE, _FINITE)
+def test_junction_temperature_is_finite_or_out_of_range(power, theta, ambient):
+    _finite_or_out_of_range(junction_temperature, power, theta, ambient)
+
+
+@given(_FINITE, _POSITIVE, _FINITE)
+def test_max_power_is_finite_or_out_of_range(t_j_max, theta, ambient):
+    assume(t_j_max > ambient)
+    _finite_or_out_of_range(max_power, t_j_max, theta, ambient)
 
 
 def _qualifies(entry, power, t_j_max, ambient, theta_jc):
