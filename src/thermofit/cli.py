@@ -18,9 +18,10 @@ from dataclasses import fields
 
 from . import __version__
 from .dataset import BUILTIN_NAMES, Series, _number, builtin_series, parse_csv
-from .errors import MalformedRow, OutOfRange, ThermofitError
+from .errors import MalformedRow, ThermofitError, _require_finite
 from .regression import Axis, correlation
 from .report import build_report, render_json, render_text
+from .stepmodel import _GN_MAX_ITER
 from .svgplot import render_plot
 from .thermal import (
     builtin_heatsinks,
@@ -125,8 +126,7 @@ def cmd_predict(args) -> int:
     if not all(map(math.isfinite, (slope, intercept, args.x))):
         raise UsageError("slope, intercept, and x must be finite")
     y = slope * args.x + intercept
-    if not math.isfinite(y):
-        raise OutOfRange(f"y = {slope!r} * {args.x!r} + {intercept!r} overflows")
+    _require_finite((y,), f"y = {slope!r} * {args.x!r} + {intercept!r} overflows")
     print(f"{y:.4f}")
     return 0
 
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--axis", choices=[a.value for a in Axis], default=Axis.Y_ON_X.value)
     fit.add_argument("--weights", help="file with one positive weight per line")
     fit.add_argument("--nonlinear", action="store_true", help="also run the Gauss-Newton fit")
-    fit.add_argument("--max-iter", type=_positive_int, default=100, help="Gauss-Newton iteration cap")
+    fit.add_argument("--max-iter", type=_positive_int, default=_GN_MAX_ITER, help="Gauss-Newton iteration cap")
     fit.add_argument("--json", dest="as_json", action="store_true")
     fit.set_defaults(func=cmd_fit)
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(plot)
     plot.add_argument("-o", "--output", required=True, help="SVG output path")
     plot.add_argument("--nonlinear", action="store_true", help="include the step-response curve")
-    plot.add_argument("--max-iter", type=_positive_int, default=100)
+    plot.add_argument("--max-iter", type=_positive_int, default=_GN_MAX_ITER)
     plot.set_defaults(func=cmd_plot)
 
     return p

@@ -23,11 +23,10 @@ temperatures within the sanity bound [-273.15, 10000] degC.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange
+from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange
 
 TEMP_MIN_C = -273.15
 TEMP_MAX_C = 10000.0
@@ -90,11 +89,11 @@ def _violations(series: Series):
     """Yield the violations :func:`validate` lists, in the same order."""
     if not series.times:
         yield Violation("EmptySeries", None, "series has no samples")
-    if series.power_w is not None and not (0 < series.power_w < math.inf):
+    if series.power_w is not None and not (0 < series.power_w <= _DOUBLE_MAX):
         yield Violation("OutOfRange", None, f"power_w={series.power_w!r} must be positive")
     prev = None
     for i, (t, y) in enumerate(zip(series.times, series.temps)):
-        if not (0 <= t < math.inf):
+        if not (0 <= t <= _DOUBLE_MAX):
             yield Violation("OutOfRange", i, f"time_s={t!r} must be finite and >= 0")
         if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
             yield Violation("OutOfRange", i, f"temperature_c={y!r} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]")

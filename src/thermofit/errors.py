@@ -6,6 +6,8 @@ CLI prints as a one-line prefix before exiting nonzero.
 
 from __future__ import annotations
 
+_DOUBLE_MAX = 1.7976931348623157e308  # sys.float_info.max; x is finite when abs(x) <= it
+
 
 class ThermofitError(Exception):
     """Base class for all thermofit errors."""
@@ -35,6 +37,15 @@ class OutOfRange(ThermofitError):
     """A value lies outside its sanity bounds (or is not finite)."""
 
     code = "E_OUT_OF_RANGE"
+
+
+def _require_finite(values, what: str):
+    """Return ``values``, or raise OutOfRange("<what>: <value>") at the first that is
+    not finite (NaN, +-inf or an int too large for a float), formatting the message only then."""
+    for v in values:
+        if not abs(v) <= _DOUBLE_MAX:
+            raise OutOfRange(f"{what}: {'an int too large for a float' if isinstance(v, int) else v}")
+    return values
 
 
 class EmptyInput(ThermofitError):

@@ -18,6 +18,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     DegenerateVariance,
@@ -26,6 +27,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveWeight,
     OutOfRange,
+    _require_finite,
 )
 
 Point = tuple[float, float]
@@ -76,12 +78,8 @@ class LinearFit:
 
 
 def _split(points: list[Point]) -> tuple[list[float], list[float]]:
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    for v in xs + ys:
-        if not math.isfinite(v):
-            raise OutOfRange(f"non-finite coordinate {v!r}")
-    return xs, ys
+    _require_finite(chain.from_iterable(points), "non-finite coordinate")
+    return [float(p[0]) for p in points], [float(p[1]) for p in points]
 
 
 def _fsum(terms) -> float:
@@ -94,9 +92,7 @@ def _fsum(terms) -> float:
         total = math.fsum(terms)
     except (OverflowError, ValueError):
         total = math.inf
-    if not math.isfinite(total):
-        raise OutOfRange("a sum is outside the double range")
-    return total
+    return _require_finite((total,), "a sum is outside the double range")[0]
 
 
 def summarize(points: list[Point]) -> SummaryStats:
@@ -181,8 +177,7 @@ def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
         if mp == 0.0:
             raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
         m, b = 1.0 / mp, -bp / mp
-    if not all(map(math.isfinite, (m, b))):
-        raise OutOfRange(f"fit overflowed: slope={m!r}, intercept={b!r}")
+    _require_finite((m, b), "fit overflowed")
     return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
 
 
@@ -217,9 +212,18 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     return _fit_weighted(xs, ys, [float(w) for w in weights], Axis.Y_ON_X)
 
 
+def _line(fit: LinearFit, xs) -> list[float]:
+    """The fitted line at each of ``xs``, all finite or OutOfRange."""
+    try:
+        return _require_finite([fit.slope * x + fit.intercept for x in xs], "predicted value")
+    except OverflowError:  # an x is an int too large for a float
+        _require_finite(xs, "x")
+        raise
+
+
 def predict(fit: LinearFit, x: float) -> float:
     """Evaluate the fitted line at x."""
-    return fit.slope * x + fit.intercept
+    return _line(fit, (x,))[0]
 
 
 def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
@@ -228,11 +232,15 @@ def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
     Vertical (observed y minus line) for a Y_ON_X fit; the mirrored
     horizontal definition for an X_ON_Y fit.
     """
-    if fit.axis is Axis.Y_ON_X:
-        return [y - (fit.slope * x + fit.intercept) for x, y in points]
-    mp = 1.0 / fit.slope
-    bp = -fit.intercept / fit.slope
-    return [x - (mp * y + bp) for x, y in points]
+    try:
+        if fit.axis is Axis.Y_ON_X:
+            return _require_finite([y - (fit.slope * x + fit.intercept) for x, y in points], "residual")
+        mp = 1.0 / fit.slope
+        bp = -fit.intercept / fit.slope
+        return _require_finite([x - (mp * y + bp) for x, y in points], "residual")
+    except OverflowError:  # a coordinate is an int too large for a float
+        _require_finite(chain.from_iterable(points), "non-finite coordinate")
+        raise
 
 
 def sse(fit: LinearFit, points: list[Point]) -> float:

@@ -5,18 +5,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dataset import Series
+from .dataset import Series, _require_valid
 from .regression import (
     Axis,
     FitClass,
     LinearFit,
+    _line,
     classify_fit,
     ols_fit,
-    predict,
     residuals,
     wls_fit,
 )
-from .stepmodel import NlFit, StepModelParams
+from .stepmodel import _GN_MAX_ITER, NlFit, StepModelParams
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,21 @@ def build_report(
     weights: list[float] | None = None,
     nonlinear: bool = False,
     nl_init: StepModelParams | None = None,
-    nl_max_iter: int = 100,
+    nl_max_iter: int = _GN_MAX_ITER,
 ) -> FitReport:
-    """Fit a series and assemble the report.
+    """Validate a series, fit it and assemble the report.
 
     With ``weights`` the linear fit is weighted (y-on-x only); with
     ``nonlinear`` a Gauss-Newton step-response fit is attached, which
     imports numpy on first use.
     """
+    _require_valid(series)
     points = series.points()
     if weights is not None:
         fit = wls_fit(points, weights)
     else:
         fit = ols_fit(points, axis)
-    rows = [
-        (x, y, predict(fit, x), d) for (x, y), d in zip(points, residuals(fit, points))
-    ]
+    rows = list(zip(series.times, series.temps, _line(fit, series.times), residuals(fit, points)))
     nl = None
     if nonlinear:
         from .stepfit import gauss_newton  # deferred: stepfit imports numpy

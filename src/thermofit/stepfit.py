@@ -14,8 +14,8 @@ only in direction, starting step and halvings.  One rule, tested once per
 SSE, stops both: converged when the SSE is 0 or its relative decrease over
 the last ``span`` iterations falls below ``tol`` (``span`` is 1 for
 Gauss-Newton, ``window`` for steepest descent).  Every function here refuses
-an invalid series or parameters (a Series object is validated once, however
-many functions take it), and the solvers refuse out-of-range options.
+an invalid series (checked once per Series object) or parameters, the solvers
+refuse out-of-range options, and a result that is not finite raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .dataset import Series, _require_valid
-from .errors import InsufficientData, OutOfRange, SingularNormalMatrix
-from .stepmodel import JacobianMode, NlFit, StepModelParams, _checked, _require_count, _valid, default_init
+from .errors import InsufficientData, OutOfRange, SingularNormalMatrix, _require_finite
+from .stepmodel import JacobianMode, NlFit, StepModelParams, _GN_MAX_ITER, _checked, _require_count, _valid, default_init
 
 _MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
 
@@ -58,6 +58,7 @@ def _gradient(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> np.ndarra
     return -2.0 * (_jac(theta, times).T @ r)
 
 
+@np.errstate(all="ignore")
 def jacobian(
     params: StepModelParams,
     times: list[float],
@@ -70,33 +71,37 @@ def jacobian(
     serves as an independent check on the analytic formulas.
     """
     theta = _checked(params).as_array()
-    t = np.asarray(times, dtype=float)
+    t = np.asarray(_require_finite(times, "time"), dtype=float)
     if mode is JacobianMode.ANALYTIC:
-        return _jac(theta, t)
-
-    out = np.empty((t.size, 3))
-    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
-    for j in range(3):
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[j] += h[j]
-        minus[j] -= h[j]
-        out[:, j] = (_curve(plus, t) - _curve(minus, t)) / (plus[j] - minus[j])
+        out = _jac(theta, t)
+    else:
+        out = np.empty((t.size, 3))
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
+        for j in range(3):
+            plus = theta.copy()
+            minus = theta.copy()
+            plus[j] += h[j]
+            minus[j] -= h[j]
+            out[:, j] = (_curve(plus, t) - _curve(minus, t)) / (plus[j] - minus[j])
+    _require_finite(out.flat, "Jacobian entry")
     return out
 
 
+@np.errstate(all="ignore")
 def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     """Gradient of the SSE objective: -2 * J' r with r = observed - model."""
     times, ys = _arrays(series)
-    return _gradient(_checked(params).as_array(), times, ys)
+    return _require_finite(_gradient(_checked(params).as_array(), times, ys), "SSE gradient entry")
 
 
+@np.errstate(all="ignore")
 def model_sse(params: StepModelParams, series: Series) -> float:
     """Sum of squared residuals of the series against the model."""
     times, ys = _arrays(series)
-    return _sse(_checked(params).as_array(), times, ys)
+    return _require_finite((_sse(_checked(params).as_array(), times, ys),), "SSE")[0]
 
 
+@np.errstate(all="ignore")
 def _descend(series, init, max_iter, tol, *, span, tries, step, restart, direction) -> NlFit:
     """The iteration loop of both solvers.
 
@@ -110,12 +115,12 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     _require_count("max_iter", max_iter, 0)
     if not tol >= 0:
         raise OutOfRange(f"tol={tol!r} must be >= 0")
-    if len(series.times) < 4:
-        raise InsufficientData("nonlinear fitting needs at least 4 samples")
     times, ys = _arrays(series)
+    if len(times) < 4:
+        raise InsufficientData("nonlinear fitting needs at least 4 samples")
     theta = _checked(default_init(series) if init is None else init).as_array()
 
-    current = _sse(theta, times, ys)
+    current = _require_finite((_sse(theta, times, ys),), "SSE at the starting parameters")[0]
     trace = [(0, current)]
     while True:
         k = len(trace) - 1
@@ -154,6 +159,7 @@ def _normal_step(theta, times, ys, active):
     J = _jac(theta, times)[:, active]
     r = ys - _curve(theta, times)
     jtj = J.T @ J
+    _require_finite(jtj.flat, "normal matrix entry")
     # Conditioning is measured on the column-equilibrated matrix so that
     # parameter units (seconds vs degrees) cannot masquerade as rank
     # deficiency; a zero diagonal means a structurally dead parameter.
@@ -184,7 +190,7 @@ def gauss_newton(
     series: Series,
     init: StepModelParams | None = None,
     *,
-    max_iter: int = 100,
+    max_iter: int = _GN_MAX_ITER,
     tol: float = 1e-10,
     max_halvings: int = 20,
     freeze_tau: bool = False,

@@ -21,11 +21,13 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dataset import Series
-from .errors import EmptySeries, InvalidInit, OutOfRange
+from .dataset import Series, _require_valid
+from .errors import _DOUBLE_MAX, InvalidInit, OutOfRange, _require_finite
 
 if TYPE_CHECKING:
     import numpy as np
+
+_GN_MAX_ITER = 100  # Gauss-Newton iteration cap: the solver's, build_report's and the CLI's default
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class JacobianMode(enum.Enum):
 
 def _valid(t0: float, tinf: float, tau: float) -> bool:
     """The one parameter check: all three finite and tau > 0."""
-    return math.isfinite(t0) and math.isfinite(tinf) and math.isfinite(tau) and tau > 0
+    return abs(t0) <= _DOUBLE_MAX and abs(tinf) <= _DOUBLE_MAX and 0 < tau <= _DOUBLE_MAX
 
 
 def _checked(params: StepModelParams) -> StepModelParams:
@@ -80,9 +82,7 @@ def model_eval(params: StepModelParams, t: float) -> float:
         value = p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise OutOfRange(f"t={t!r} gives no finite model temperature")
-    return value
+    return _require_finite((value,), f"t={t!r} gives no finite model temperature")[0]
 
 
 def _require_count(name: str, value, low: int) -> None:
@@ -96,8 +96,7 @@ def _require_count(name: str, value, low: int) -> None:
 
 
 def default_init(series: Series) -> StepModelParams:
-    """Heuristic start: first temperature, last temperature, a third of the span."""
-    if not series.times:
-        raise EmptySeries("series has no samples")
+    """Validate the series; start at its first and last temperatures and a third of its span."""
+    _require_valid(series)
     times, temps = series.times, series.temps
     return StepModelParams(temps[0], temps[-1], (times[-1] - times[0]) / 3.0)

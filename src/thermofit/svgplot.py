@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from html import escape
 
-from .dataset import Series
+from .dataset import Series, _require_valid
 from .regression import LinearFit, predict
 from .stepmodel import StepModelParams, model_eval
 
@@ -60,9 +60,10 @@ def render_plot(
 ) -> str:
     """Render observed points, the fitted line, and optionally the step-response curve.
 
-    The fitted line is the single <line> element; the nonlinear curve, when
-    present, is one extra <path> beyond the axes path.
+    The series is validated first.  The fitted line is the single <line>
+    element; the curve, when present, is one <path> beyond the axes path.
     """
+    _require_valid(series)
     xs, ys = series.times, series.temps
 
     x_lo, x_hi = min(xs), max(xs)

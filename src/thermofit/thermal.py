@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     NegativePower,
     NonPositiveResistance,
     OutOfRange,
+    _require_finite,
 )
 
 
@@ -108,35 +108,26 @@ def builtin_heatsinks() -> list[HeatSinkEntry]:
     return [HeatSinkEntry(n, sa) for n, sa in _HEATSINKS]
 
 
-def _finite(value: float, what: str) -> float:
-    """``value``, or OutOfRange where finite inputs overflowed to +-inf."""
-    if not math.isfinite(value):
-        raise OutOfRange(f"{what} overflows: {value!r}")
-    return value
-
-
 def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float) -> float:
     """Predicted junction temperature: t_ambient_c + power_w * theta_total."""
     if power_w < 0:
         raise NegativePower(f"power_w {power_w} is negative")
     if theta_total <= 0:
         raise NonPositiveResistance(f"theta_total {theta_total} must be positive")
-    if not all(map(math.isfinite, (power_w, theta_total, t_ambient_c))):
-        raise OutOfRange("junction_temperature inputs must be finite")
-    return _finite(t_ambient_c + power_w * theta_total, "junction temperature")
+    _require_finite((power_w, theta_total, t_ambient_c), "junction_temperature inputs must be finite")
+    return _require_finite((t_ambient_c + power_w * theta_total,), "junction temperature overflows")[0]
 
 
 def max_power(t_j_max_c: float, theta_total: float, t_ambient_c: float) -> float:
     """Largest power that keeps the junction at or below t_j_max_c."""
     if theta_total <= 0:
         raise NonPositiveResistance(f"theta_total {theta_total} must be positive")
-    if not all(map(math.isfinite, (t_j_max_c, theta_total, t_ambient_c))):
-        raise OutOfRange("max_power inputs must be finite")
+    _require_finite((t_j_max_c, theta_total, t_ambient_c), "max_power inputs must be finite")
     if t_j_max_c <= t_ambient_c:
         raise InvertedTemperatures(
             f"t_j_max_c {t_j_max_c} does not exceed ambient {t_ambient_c}"
         )
-    return _finite((t_j_max_c - t_ambient_c) / theta_total, "max_power")
+    return _require_finite(((t_j_max_c - t_ambient_c) / theta_total,), "max_power overflows")[0]
 
 
 def select_heatsink(
@@ -158,8 +149,7 @@ def select_heatsink(
         raise NegativePower(f"power_w {power_w} is negative")
     if theta_jc <= 0:
         raise NonPositiveResistance(f"theta_jc {theta_jc} must be positive")
-    if not all(map(math.isfinite, (power_w, t_j_max_c, t_ambient_c, theta_jc))):
-        raise OutOfRange("select_heatsink inputs must be finite")
+    _require_finite((power_w, t_j_max_c, t_ambient_c, theta_jc), "select_heatsink inputs must be finite")
     best: HeatSinkEntry | None = None
     for entry in catalog:
         t_j = t_ambient_c + power_w * (theta_jc + entry.theta_sa)

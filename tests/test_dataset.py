@@ -246,16 +246,17 @@ def _mostly(valid, odd):
 
 
 _NAN, _INF = float("nan"), float("inf")
+_HUGE = 10**400  # an int too large for a float, so neither a finite time nor a finite power
 # Times come from a small set half the time, so equal and decreasing
 # timestamps are common.
 _any_time = _mostly(
     st.sampled_from([0.0, 1.0, 5.0, 60.0]) | st.floats(0.0, 60.0),
-    st.sampled_from([-1.0, _NAN, _INF, -_INF]),
+    st.sampled_from([-1.0, _NAN, _INF, -_INF, _HUGE]),
 )
 _any_temp = _mostly(
     st.floats(-273.15, 10000.0), st.sampled_from([-300.0, 10000.5, _NAN, _INF, -_INF])
 )
-_any_power = st.none() | _mostly(st.floats(1e-3, 1e9), st.sampled_from([0.0, -3.0, _NAN, _INF]))
+_any_power = st.none() | _mostly(st.floats(1e-3, 1e9), st.sampled_from([0.0, -3.0, _NAN, _INF, _HUGE]))
 
 
 @st.composite

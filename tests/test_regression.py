@@ -465,6 +465,7 @@ def test_sums_are_finite_or_out_of_range(pts):
         lambda: summarize([(1e200, 1e200), (-1e200, 1e200)]),
         lambda: sse(_LINE_FITS[0], [(0.0, 0.0), (1e200, 1.0)]),  # came back inf
         lambda: sse(_LINE_FITS[0], [(0.0, 0.0), (math.nan, 1.0)]),  # came back nan
+        lambda: residuals(_LINE_FITS[0], [(math.nan, 1.0), (1e308, 0.0)]),  # came back [nan, -inf]
     ],
     ids=[
         "correlation-dev-overflow",
@@ -472,6 +473,7 @@ def test_sums_are_finite_or_out_of_range(pts):
         "summarize-inf-minus-inf",
         "sse-overflow",
         "sse-nan",
+        "residuals-nan-and-overflow",
     ],
 )
 def test_sums_outside_double_range_raise(call):

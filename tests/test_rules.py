@@ -1,0 +1,125 @@
+"""The two rules every entry point keeps.
+
+1. A computed number is finite, or the call raises a ThermofitError: no inf,
+   no NaN, and no untyped OverflowError or LinAlgError, even for inputs at
+   the edges of the double range or ints too large for a float.
+2. A Series built in code without validation is refused with the error of
+   its first violation, the one ``validate`` lists first.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, strategies as st
+
+from thermofit import (
+    Axis,
+    JacobianMode,
+    LinearFit,
+    NlFit,
+    StepModelParams,
+    build_report,
+    correlation,
+    default_init,
+    gauss_newton,
+    gradient_descent,
+    jacobian,
+    junction_temperature,
+    max_power,
+    model_eval,
+    model_sse,
+    ols_fit,
+    predict,
+    residuals,
+    sse,
+    sse_gradient,
+    validate,
+)
+from thermofit.errors import ThermofitError
+from thermofit.svgplot import render_plot
+
+from conftest import synth_series
+from test_dataset import any_series
+
+# --- rule 1: finite or a typed error ----------------------------------------------
+
+_FIT = ols_fit([(0.0, 0.0), (1.0, 2.0), (2.0, 4.1)])
+_FIT_X_ON_Y = ols_fit([(0.0, 0.0), (1.0, 2.0), (2.0, 4.1)], Axis.X_ON_Y)
+_STEP = synth_series(20, 60, 15)  # sampled from t = 0, where exp(-t/tau) is 1 for every tau
+
+
+def _params(v):
+    return StepModelParams(v[0], v[1], abs(v[2]))
+
+
+def _points(v):
+    return [(v[0], v[1]), (v[2], v[3]), (v[4], v[5])]
+
+
+_CALLS = {
+    "predict": lambda v: predict(_FIT, v[0]),
+    "residuals": lambda v: residuals(_FIT, _points(v)),
+    "residuals-x-on-y": lambda v: residuals(_FIT_X_ON_Y, _points(v)),
+    "sse": lambda v: sse(_FIT, _points(v)),
+    "ols_fit": lambda v: ols_fit(_points(v)),
+    "ols_fit-x-on-y": lambda v: ols_fit(_points(v), Axis.X_ON_Y),
+    "correlation": lambda v: correlation(_points(v)),
+    "model_eval": lambda v: model_eval(_params(v), v[3]),
+    "model_sse": lambda v: model_sse(_params(v), _STEP),
+    "sse_gradient": lambda v: sse_gradient(_params(v), _STEP),
+    "jacobian": lambda v: jacobian(_params(v), v[3:]),
+    "jacobian-finite-diff": lambda v: jacobian(_params(v), v[3:], JacobianMode.FINITE_DIFF),
+    "junction_temperature": lambda v: junction_temperature(abs(v[0]), abs(v[1]), v[2]),
+    "max_power": lambda v: max_power(v[0], abs(v[1]), v[2]),
+    "gauss_newton": lambda v: gauss_newton(_STEP, _params(v), max_iter=20),
+    "gradient_descent": lambda v: gradient_descent(_STEP, _params(v), max_iter=20),
+}
+
+_EDGES = [10**400, -(10**400), 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0]
+_number = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.sampled_from(_EDGES)
+
+
+def _numbers_in(result):
+    if isinstance(result, NlFit):
+        return [result.sse, result.params.t_ambient_c, result.params.t_final_c, result.params.tau_s]
+    if isinstance(result, LinearFit):
+        return [result.slope, result.intercept, result.r, result.sse]
+    return np.ravel(result).tolist()
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+@given(values=st.lists(_number, min_size=6, max_size=6))
+@example(values=[1e308, -1e308, 10.0, 1e308, 0.0, 1.0])  # inf from predict, model_sse, sse_gradient
+@example(values=[20.0, 60.0, 1e-320, 5.0, 10.0, 15.0])  # NaN in the Jacobian; LinAlgError in gauss_newton
+@example(values=[10**400, 21.0, 2.0, 22.0, 3.0, 10.0])  # OverflowError: int too large to convert to float
+def test_results_are_finite_or_a_typed_error(name, values):
+    try:
+        result = _CALLS[name](values)
+    except ThermofitError:
+        return
+    assert all(map(math.isfinite, _numbers_in(result))), result
+
+
+# --- rule 2: an invalid Series built in code gets the dataset error ------------------
+
+_SERIES_CALLS = {
+    "build_report": build_report,
+    "build_report-nonlinear": partial(build_report, nonlinear=True),
+    "render_plot": lambda s: render_plot(s, _FIT),
+    "default_init": default_init,
+    "model_sse": partial(model_sse, StepModelParams(20, 60, 15)),
+    "gauss_newton": gauss_newton,
+    "gradient_descent": gradient_descent,
+}
+
+
+@pytest.mark.parametrize("name", list(_SERIES_CALLS))
+@given(series=any_series())
+def test_invalid_series_gets_the_error_validate_lists_first(name, series):
+    report = validate(series)
+    assume(report)
+    with pytest.raises(ThermofitError) as info:
+        _SERIES_CALLS[name](series)
+    assert type(info.value).__name__ == report[0].rule

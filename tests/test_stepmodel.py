@@ -10,6 +10,7 @@ from thermofit import (
     Sample,
     Series,
     StepModelParams,
+    build_report,
     builtin_series,
     default_init,
     gauss_newton,
@@ -28,6 +29,7 @@ from thermofit.errors import (
     OutOfRange,
     SingularNormalMatrix,
 )
+from thermofit.svgplot import render_plot
 
 from conftest import synth_series
 
@@ -186,6 +188,10 @@ _TRUTH = StepModelParams(20, 60, 15)
         gradient_descent,
         pytest.param(partial(model_sse, _TRUTH), id="model_sse"),
         pytest.param(partial(sse_gradient, _TRUTH), id="sse_gradient"),
+        default_init,
+        build_report,
+        pytest.param(partial(build_report, nonlinear=True), id="build_report-nonlinear"),
+        pytest.param(lambda s: render_plot(s, ols_fit(synth_series(20, 60, 15).points())), id="render_plot"),
     ],
 )
 @pytest.mark.parametrize(
