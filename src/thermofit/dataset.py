@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange
+from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange, _shown
 
 TEMP_MIN_C = -273.15
 TEMP_MAX_C = 10000.0
@@ -90,16 +90,16 @@ def _violations(series: Series):
     if not series.times:
         yield Violation("EmptySeries", None, "series has no samples")
     if series.power_w is not None and not (0 < series.power_w <= _DOUBLE_MAX):
-        yield Violation("OutOfRange", None, f"power_w={series.power_w!r} must be positive")
+        yield Violation("OutOfRange", None, f"power_w={_shown(series.power_w)} must be positive")
     prev = None
     for i, (t, y) in enumerate(zip(series.times, series.temps)):
         if not (0 <= t <= _DOUBLE_MAX):
-            yield Violation("OutOfRange", i, f"time_s={t!r} must be finite and >= 0")
+            yield Violation("OutOfRange", i, f"time_s={_shown(t)} must be finite and >= 0")
         if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
-            yield Violation("OutOfRange", i, f"temperature_c={y!r} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]")
+            yield Violation("OutOfRange", i, f"temperature_c={_shown(y)} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]")
         if i and not (t > prev):
             yield Violation(
-                "NonIncreasingTime", i, f"time_s[{i}]={t!r} does not exceed time_s[{i - 1}]={prev!r}"
+                "NonIncreasingTime", i, f"time_s[{i}]={_shown(t)} does not exceed time_s[{i - 1}]={_shown(prev)}"
             )
         prev = t
 

@@ -39,12 +39,20 @@ class OutOfRange(ThermofitError):
     code = "E_OUT_OF_RANGE"
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for a message, or "an int too large for a float" for an int
+    that no double holds, whose digits Python may refuse to write out."""
+    if isinstance(value, int) and not abs(value) <= _DOUBLE_MAX:
+        return "an int too large for a float"
+    return form(value)
+
+
 def _require_finite(values, what: str):
     """Return ``values``, or raise OutOfRange("<what>: <value>") at the first that is
     not finite (NaN, +-inf or an int too large for a float), formatting the message only then."""
     for v in values:
         if not abs(v) <= _DOUBLE_MAX:
-            raise OutOfRange(f"{what}: {'an int too large for a float' if isinstance(v, int) else v}")
+            raise OutOfRange(f"{what}: {_shown(v, str)}")
     return values
 
 

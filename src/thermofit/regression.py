@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
+    _DOUBLE_MAX,
     DegenerateVariance,
     EmptyInput,
     InsufficientData,
@@ -28,6 +29,7 @@ from .errors import (
     NonPositiveWeight,
     OutOfRange,
     _require_finite,
+    _shown,
 )
 
 Point = tuple[float, float]
@@ -78,8 +80,15 @@ class LinearFit:
 
 
 def _split(points: list[Point]) -> tuple[list[float], list[float]]:
-    _require_finite(chain.from_iterable(points), "non-finite coordinate")
-    return [float(p[0]) for p in points], [float(p[1]) for p in points]
+    """The x and the y column as floats, read from ``points`` in one pass, so an
+    iterator works too; OutOfRange at the first coordinate that is not finite,
+    x column first."""
+    xs, ys = [], []
+    for x, y in points:
+        xs.append(x)
+        ys.append(y)
+    _require_finite(chain(xs, ys), "non-finite coordinate")
+    return list(map(float, xs)), list(map(float, ys))
 
 
 def _fsum(terms) -> float:
@@ -99,11 +108,12 @@ def summarize(points: list[Point]) -> SummaryStats:
     """Accumulate the five least-squares sums over the points.
 
     Sums use exact (correctly rounded) summation, so they are invariant
-    under permutation of the input.
+    under permutation of the input.  The points are read once, so an
+    iterator gives the same sums as a list.
     """
-    if not points:
-        raise EmptyInput("summarize requires at least one point")
     xs, ys = _split(points)
+    if not xs:
+        raise EmptyInput("summarize requires at least one point")
     return SummaryStats(
         n=len(xs),
         sum_x=_fsum(xs),
@@ -206,8 +216,8 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     if len(weights) != len(points):
         raise LengthMismatch(f"{len(weights)} weights for {len(points)} points")
     for w in weights:
-        if not (math.isfinite(w) and w > 0):
-            raise NonPositiveWeight(f"weight {w!r} must be positive and finite")
+        if not (0 < w <= _DOUBLE_MAX):
+            raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
     xs, ys = _split(points)
     return _fit_weighted(xs, ys, [float(w) for w in weights], Axis.Y_ON_X)
 
@@ -263,7 +273,7 @@ def correlation(points: list[Point]) -> float:
 def classify_fit(r: float) -> FitClass:
     """Bucket a correlation coefficient: |r| >= 0.9 GOOD, >= 0.5 MODERATE, else POOR."""
     if not (abs(r) <= 1.0):
-        raise OutOfRange(f"|r| = {abs(r)!r} exceeds 1")
+        raise OutOfRange(f"|r| = {_shown(abs(r))} exceeds 1")
     a = abs(r)
     if a >= 0.9:
         return FitClass.GOOD

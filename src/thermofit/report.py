@@ -72,8 +72,28 @@ def build_report(
     )
 
 
+def _flat(table) -> list:
+    """The table's values row by row, in one pass; a row that is not four
+    values raises ValueError."""
+    flat: list = []
+    for x, y, p, d in table:
+        flat += x, y, p, d
+    return flat
+
+
+# One residual row as json.dumps(..., indent=2) lays it out inside the report.
+_JSON_ROW = '    {\n      "x": %s,\n      "observed": %s,\n      "predicted": %s,\n      "residual": %s\n    }'
+_JSON_SLOT = '\n  "residuals": []'
+
+
 def render_json(report: FitReport) -> str:
-    """Machine-readable report; numbers keep full round-trip precision."""
+    """Machine-readable report; numbers keep full round-trip precision.
+
+    The text equals ``json.dumps(obj, indent=2) + "\n"`` for the report's
+    dict, but the residual values are written by json's C encoder in one
+    call and laid out with a row template.  An entry of ``residual_table``
+    that json would write as a string, list or object raises TypeError.
+    """
     obj: dict = {
         "label": report.series_label,
         "n": report.linear.n,
@@ -83,10 +103,7 @@ def render_json(report: FitReport) -> str:
         "r": report.linear.r,
         "sse": report.linear.sse,
         "fit_class": report.fit_class.name,
-        "residuals": [
-            {"x": x, "observed": y, "predicted": p, "residual": d}
-            for x, y, p, d in report.residual_table
-        ],
+        "residuals": [],
     }
     if report.nonlinear is not None:
         nl = report.nonlinear
@@ -98,9 +115,20 @@ def render_json(report: FitReport) -> str:
             "iterations": nl.iterations,
             "converged": nl.converged,
         }
-    return json.dumps(obj, indent=2) + "\n"
+    head = json.dumps(obj, indent=2)
+    flat = _flat(report.residual_table)
+    if not flat:
+        return head + "\n"
+    values = json.dumps(flat)[1:-1]  # no indent: json's C encoder
+    if '"' in values or "[" in values or "{" in values:
+        raise TypeError("residual_table entries must be numbers")
+    rows = ",\n".join([_JSON_ROW] * (len(flat) // 4)) % tuple(values.split(", "))
+    # json escapes a newline inside a string, so the first match is the top-level key
+    before, _, after = head.partition(_JSON_SLOT)
+    return "".join((before, '\n  "residuals": [\n', rows, "\n  ]", after, "\n"))
 
 
+_TEXT_ROW = "%10.4f  %10.4f  %10.4f  %10.4f"
 _CLASS_COLOR = {FitClass.GOOD: "32", FitClass.MODERATE: "33", FitClass.POOR: "31"}
 
 
@@ -122,8 +150,9 @@ def render_text(report: FitReport, color: bool = False) -> str:
         "",
         f"{'x':>10}  {'observed':>10}  {'predicted':>10}  {'residual':>10}",
     ]
-    for x, y, p, d in report.residual_table:
-        lines.append(f"{x:>10.4f}  {y:>10.4f}  {p:>10.4f}  {d:>10.4f}")
+    flat = _flat(report.residual_table)
+    if flat:
+        lines.append("\n".join([_TEXT_ROW] * (len(flat) // 4)) % tuple(flat))
     if report.nonlinear is not None:
         nl = report.nonlinear
         status = "converged" if nl.converged else "NOT converged"

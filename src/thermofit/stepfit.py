@@ -20,12 +20,10 @@ refuse out-of-range options, and a result that is not finite raises OutOfRange.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .dataset import Series, _require_valid
-from .errors import InsufficientData, OutOfRange, SingularNormalMatrix, _require_finite
+from .errors import _DOUBLE_MAX, InsufficientData, OutOfRange, SingularNormalMatrix, _require_finite, _shown
 from .stepmodel import JacobianMode, NlFit, StepModelParams, _GN_MAX_ITER, _checked, _require_count, _valid, default_init
 
 _MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
@@ -114,7 +112,7 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     """
     _require_count("max_iter", max_iter, 0)
     if not tol >= 0:
-        raise OutOfRange(f"tol={tol!r} must be >= 0")
+        raise OutOfRange(f"tol={_shown(tol)} must be >= 0")
     times, ys = _arrays(series)
     if len(times) < 4:
         raise InsufficientData("nonlinear fitting needs at least 4 samples")
@@ -229,8 +227,8 @@ def gradient_descent(
     relative SSE decrease over a ``window``-iteration span fell below ``tol``.
     """
     _require_count("window", window, 1)
-    if not 0.0 < learning_rate < math.inf:
-        raise OutOfRange(f"learning_rate={learning_rate!r} must be positive and finite")
+    if not 0.0 < learning_rate <= _DOUBLE_MAX:
+        raise OutOfRange(f"learning_rate={_shown(learning_rate)} must be positive and finite")
     return _descend(
         series, init, max_iter, tol, span=window, tries=60,
         step=learning_rate, restart=lambda step: step * 2.0, direction=_downhill,

@@ -18,11 +18,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
-from .errors import _DOUBLE_MAX, InvalidInit, OutOfRange, _require_finite
+from .errors import _DOUBLE_MAX, InvalidInit, OutOfRange, _require_finite, _shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +67,8 @@ def _valid(t0: float, tinf: float, tau: float) -> bool:
 
 def _checked(params: StepModelParams) -> StepModelParams:
     if not _valid(params.t_ambient_c, params.t_final_c, params.tau_s):
-        raise InvalidInit(f"invalid step-model parameters {params}")
+        shown = ", ".join(f"{f.name}={_shown(getattr(params, f.name))}" for f in fields(params))
+        raise InvalidInit(f"invalid step-model parameters StepModelParams({shown})")
     return params
 
 
@@ -82,7 +83,7 @@ def model_eval(params: StepModelParams, t: float) -> float:
         value = p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
     except OverflowError:
         value = math.inf
-    return _require_finite((value,), f"t={t!r} gives no finite model temperature")[0]
+    return _require_finite((value,), f"t={_shown(t)} gives no finite model temperature")[0]
 
 
 def _require_count(name: str, value, low: int) -> None:
@@ -92,7 +93,7 @@ def _require_count(name: str, value, low: int) -> None:
     except TypeError:
         ok = False
     if not ok:
-        raise OutOfRange(f"{name}={value!r} must be an integer >= {low}")
+        raise OutOfRange(f"{name}={_shown(value)} must be an integer >= {low}")
 
 
 def default_init(series: Series) -> StepModelParams:

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveResistance,
     OutOfRange,
     _require_finite,
+    _shown,
 )
 
 
@@ -38,7 +39,7 @@ class PackageEntry:
             raise NonPositiveResistance(f"{self.name}: resistances must be positive")
         if self.theta_ja < self.theta_jc:
             raise OutOfRange(
-                f"{self.name}: theta_ja {self.theta_ja} < theta_jc {self.theta_jc} "
+                f"{self.name}: theta_ja {_shown(self.theta_ja, str)} < theta_jc {_shown(self.theta_jc, str)} "
                 "(the air path includes the case path)"
             )
 
@@ -65,7 +66,7 @@ class ProcessorSpec:
 
     def __post_init__(self):
         if not (0 < self.t_j_max_c < 200):
-            raise OutOfRange(f"{self.name}: t_j_max_c {self.t_j_max_c} outside (0, 200)")
+            raise OutOfRange(f"{self.name}: t_j_max_c {_shown(self.t_j_max_c, str)} outside (0, 200)")
 
 
 _PACKAGES = (
@@ -111,9 +112,9 @@ def builtin_heatsinks() -> list[HeatSinkEntry]:
 def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float) -> float:
     """Predicted junction temperature: t_ambient_c + power_w * theta_total."""
     if power_w < 0:
-        raise NegativePower(f"power_w {power_w} is negative")
+        raise NegativePower(f"power_w {_shown(power_w, str)} is negative")
     if theta_total <= 0:
-        raise NonPositiveResistance(f"theta_total {theta_total} must be positive")
+        raise NonPositiveResistance(f"theta_total {_shown(theta_total, str)} must be positive")
     _require_finite((power_w, theta_total, t_ambient_c), "junction_temperature inputs must be finite")
     return _require_finite((t_ambient_c + power_w * theta_total,), "junction temperature overflows")[0]
 
@@ -121,7 +122,7 @@ def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float)
 def max_power(t_j_max_c: float, theta_total: float, t_ambient_c: float) -> float:
     """Largest power that keeps the junction at or below t_j_max_c."""
     if theta_total <= 0:
-        raise NonPositiveResistance(f"theta_total {theta_total} must be positive")
+        raise NonPositiveResistance(f"theta_total {_shown(theta_total, str)} must be positive")
     _require_finite((t_j_max_c, theta_total, t_ambient_c), "max_power inputs must be finite")
     if t_j_max_c <= t_ambient_c:
         raise InvertedTemperatures(
@@ -146,9 +147,9 @@ def select_heatsink(
     if not catalog:
         raise EmptyInput("heat sink catalog is empty")
     if power_w < 0:
-        raise NegativePower(f"power_w {power_w} is negative")
+        raise NegativePower(f"power_w {_shown(power_w, str)} is negative")
     if theta_jc <= 0:
-        raise NonPositiveResistance(f"theta_jc {theta_jc} must be positive")
+        raise NonPositiveResistance(f"theta_jc {_shown(theta_jc, str)} must be positive")
     _require_finite((power_w, t_j_max_c, t_ambient_c, theta_jc), "select_heatsink inputs must be finite")
     best: HeatSinkEntry | None = None
     for entry in catalog:

@@ -324,3 +324,21 @@ def test_parsed_series_is_validated_once(monkeypatch):
     assert calls == [series]
     # validate is the reference: it always runs the full check
     assert validate(series) == [] and len(calls) == 2
+
+
+_LONG = 10**5000  # more digits than Python writes out, so a message names it instead
+
+
+def test_validate_names_an_int_too_long_to_write_out():
+    # writing the value into the message raised an untyped ValueError
+    s = Series("b", ((_LONG, _LONG), (1.0, 20.0)), power_w=-_LONG)
+    assert validate(s) == [
+        dataset.Violation("OutOfRange", None, "power_w=an int too large for a float must be positive"),
+        dataset.Violation("OutOfRange", 0, "time_s=an int too large for a float must be finite and >= 0"),
+        dataset.Violation("OutOfRange", 0, "temperature_c=an int too large for a float outside [-273.15, 10000.0]"),
+        dataset.Violation(
+            "NonIncreasingTime", 1, "time_s[1]=1.0 does not exceed time_s[0]=an int too large for a float"
+        ),
+    ]
+    with pytest.raises(OutOfRange, match="^power_w=an int too large"):
+        gauss_newton(s)

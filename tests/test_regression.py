@@ -479,3 +479,33 @@ def test_sums_are_finite_or_out_of_range(pts):
 def test_sums_outside_double_range_raise(call):
     with pytest.raises(OutOfRange):
         call()
+
+
+# --- inputs read once, weights checked against the double range ----------------------
+
+
+@given(st.lists(st.tuples(_scaled, _scaled), max_size=8))
+@example([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)])  # a generator came back n=0 with every sum 0
+def test_summarize_of_an_iterator_equals_summarize_of_the_list(pts):
+    try:
+        expected = summarize(pts)
+    except (EmptyInput, OutOfRange) as e:
+        with pytest.raises(type(e)):
+            summarize(p for p in pts)
+        return
+    assert summarize(p for p in pts) == expected
+    assert summarize(iter(pts)) == expected
+
+
+def test_summarize_of_an_empty_iterable_raises():
+    with pytest.raises(EmptyInput):
+        summarize(p for p in ())
+
+
+@pytest.mark.parametrize(
+    "w", [10**400, 10**5000, -(10**5000), math.nan], ids=["1e400", "1e5000", "-1e5000", "nan"]
+)
+def test_wls_weight_outside_the_double_range_is_refused(w):
+    # 10**400 raised an untyped OverflowError from math.isfinite
+    with pytest.raises(NonPositiveWeight):
+        wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [w, 1.0, 1.0])

@@ -19,8 +19,12 @@ from thermofit import (
     JacobianMode,
     LinearFit,
     NlFit,
+    PackageEntry,
+    ProcessorSpec,
     StepModelParams,
     build_report,
+    builtin_heatsinks,
+    classify_fit,
     correlation,
     default_init,
     gauss_newton,
@@ -33,9 +37,11 @@ from thermofit import (
     ols_fit,
     predict,
     residuals,
+    select_heatsink,
     sse,
     sse_gradient,
     validate,
+    wls_fit,
 )
 from thermofit.errors import ThermofitError
 from thermofit.svgplot import render_plot
@@ -123,3 +129,41 @@ def test_invalid_series_gets_the_error_validate_lists_first(name, series):
     with pytest.raises(ThermofitError) as info:
         _SERIES_CALLS[name](series)
     assert type(info.value).__name__ == report[0].rule
+
+
+# --- rule 1 for ints too long to write out -------------------------------------------
+
+# More digits than Python writes out by default (4300): a message that printed
+# such an int raised an untyped ValueError, so messages name it instead.
+_LONG = 10**5000
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+@given(values=st.lists(_number | st.sampled_from([_LONG, -_LONG]), min_size=6, max_size=6))
+@example(values=[_LONG, 60.0, 10.0, _LONG, 1.0, 2.0])  # model_eval's t, _checked's parameters
+def test_results_are_finite_or_a_typed_error_for_long_ints(name, values):
+    try:
+        result = _CALLS[name](values)
+    except ThermofitError:
+        return
+    assert all(map(math.isfinite, _numbers_in(result))), result
+
+
+_LONG_CALLS = {
+    "classify_fit": lambda: classify_fit(_LONG),
+    "wls_fit-weight": lambda: wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [_LONG, 1.0, 1.0]),
+    "gauss_newton-tol": lambda: gauss_newton(_STEP, tol=-_LONG),
+    "gauss_newton-max_iter": lambda: gauss_newton(_STEP, max_iter=-_LONG),
+    "gradient_descent-learning_rate": lambda: gradient_descent(_STEP, learning_rate=_LONG),
+    "junction_temperature": lambda: junction_temperature(-_LONG, 1.0, 20.0),
+    "max_power": lambda: max_power(100.0, -_LONG, 20.0),
+    "select_heatsink": lambda: select_heatsink(builtin_heatsinks(), 10.0, 90.0, 25.0, -_LONG),
+    "ProcessorSpec": lambda: ProcessorSpec("x", _LONG, ""),
+    "PackageEntry": lambda: PackageEntry("x", _LONG, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_LONG_CALLS))
+def test_an_int_too_long_to_write_out_gets_a_typed_error(name):
+    with pytest.raises(ThermofitError, match="an int too large for a float"):
+        _LONG_CALLS[name]()
