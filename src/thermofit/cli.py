@@ -19,7 +19,7 @@ from dataclasses import fields
 from . import __version__
 from .dataset import BUILTIN_NAMES, Series, _number, builtin_series, parse_csv
 from .errors import MalformedRow, ThermofitError, _require_finite
-from .regression import Axis, correlation
+from .regression import Axis, _correlation
 from .report import build_report, render_json, render_text
 from .stepmodel import _GN_MAX_ITER
 from .svgplot import render_plot
@@ -133,7 +133,7 @@ def cmd_predict(args) -> int:
 
 def cmd_correlate(args) -> int:
     series = _load_series(args)
-    r = correlation(series.points())
+    r = _correlation(series.times, series.temps)
     if args.as_json:
         print(json.dumps({"r": r, "n": len(series.times)}))
     else:

@@ -212,7 +212,10 @@ def to_csv(series: Series) -> str:
         lines.append(f"# power_w: {series.power_w!r}")
     lines.append(_HEADER)
     for t, y in zip(series.times, series.temps):
-        lines.append(f"{t!r},{y!r}")
+        try:
+            lines.append(f"{t!r},{y!r}")
+        except ValueError:  # Python writes out no int of more than 4300 digits
+            raise OutOfRange(f"cannot write the sample ({_shown(t)}, {_shown(y)})") from None
     return "\n".join(lines) + "\n"
 
 

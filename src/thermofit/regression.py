@@ -79,14 +79,17 @@ class LinearFit:
     n: int
 
 
-def _split(points: list[Point]) -> tuple[list[float], list[float]]:
-    """The x and the y column as floats, read from ``points`` in one pass, so an
-    iterator works too; OutOfRange at the first coordinate that is not finite,
-    x column first."""
+def _columns(points) -> tuple[list, list]:
+    """The x and the y column of ``points``, read in one pass so an iterator works too."""
     xs, ys = [], []
     for x, y in points:
         xs.append(x)
         ys.append(y)
+    return xs, ys
+
+
+def _floats(xs, ys) -> tuple[list[float], list[float]]:
+    """Both columns as floats; OutOfRange at the first coordinate that is not finite."""
     _require_finite(chain(xs, ys), "non-finite coordinate")
     return list(map(float, xs)), list(map(float, ys))
 
@@ -111,7 +114,7 @@ def summarize(points: list[Point]) -> SummaryStats:
     under permutation of the input.  The points are read once, so an
     iterator gives the same sums as a list.
     """
-    xs, ys = _split(points)
+    xs, ys = _floats(*_columns(points))
     if not xs:
         raise EmptyInput("summarize requires at least one point")
     return SummaryStats(
@@ -124,11 +127,9 @@ def summarize(points: list[Point]) -> SummaryStats:
     )
 
 
-def _pearson_from_devs(dx, dy, ws) -> float:
-    """Correlation from centered deviations, scaled so that squaring can
-    neither overflow nor underflow; clamped to [-1, 1]."""
-    sx = max(abs(d) for d in dx)
-    sy = max(abs(d) for d in dy)
+def _pearson_from_devs(dx, dy, ws, sx, sy) -> float:
+    """Correlation from centered deviations, divided by their largest sizes sx
+    and sy so that squaring can neither overflow nor underflow; clamped to [-1, 1]."""
     nxx = _fsum(w * (a / sx) ** 2 for w, a in zip(ws, dx))
     nyy = _fsum(w * (b / sy) ** 2 for w, b in zip(ws, dy))
     nxy = _fsum(w * (a / sx) * (b / sy) for w, a, b in zip(ws, dx, dy))
@@ -137,7 +138,8 @@ def _pearson_from_devs(dx, dy, ws) -> float:
 
 def _centered(xs, ys, ws, axis: Axis | None = None):
     """Degeneracy checks, centering and r, shared by the line fits and
-    ``correlation``.  Returns (xbar, ybar, dx, dy, r)."""
+    ``correlation``.  Returns (xbar, ybar, dx, dy, sx, sy, r), where sx and sy
+    are the largest |dx| and |dy|."""
     if min(xs) == max(xs):
         msg = "all x values are equal"
         if axis is Axis.Y_ON_X:
@@ -152,16 +154,13 @@ def _centered(xs, ys, ws, axis: Axis | None = None):
     ybar = _fsum(w * y for w, y in zip(ws, ys)) / sw
     dx = [x - xbar for x in xs]
     dy = [y - ybar for y in ys]
-    return xbar, ybar, dx, dy, _pearson_from_devs(dx, dy, ws)
+    sx, sy = max(map(abs, dx)), max(map(abs, dy))
+    return xbar, ybar, dx, dy, sx, sy, _pearson_from_devs(dx, dy, ws, sx, sy)
 
 
 def _regress(us, vs, ws, ubar, vbar, du, dv):
     """Weighted fit of v = m*u + b: (m, b, SSE).  Y_ON_X passes (x, y), X_ON_Y
     (y, x); the cross sum (w*du)*dv is order-exact only for unit weights."""
-    # Squares of deviations below 2**-511 are subnormal and lose precision;
-    # raising beats returning a silently inaccurate fit.
-    if max(map(abs, du)) < 2.0**-511 or max(map(abs, dv)) < 2.0**-511:
-        raise OutOfRange("deviations too small to square without underflow")
     suu = _fsum(w * a * a for w, a in zip(ws, du))
     suv = _fsum(w * a * b for w, a, b in zip(ws, du, dv))
     if suu < sys.float_info.min:
@@ -172,13 +171,25 @@ def _regress(us, vs, ws, ubar, vbar, du, dv):
     return m, b, sse
 
 
-def _fit_weighted(xs, ys, ws, axis: Axis) -> LinearFit:
-    """Weighted least-squares line in y = mx + b form.
-
-    Shared by ols_fit (unit weights) and wls_fit so that equal weights
-    reproduce the unweighted fit exactly, bit for bit.
-    """
-    xbar, ybar, dx, dy, r = _centered(xs, ys, ws, axis)
+def _fit(xs, ys, weights, axis: Axis) -> LinearFit:
+    """Least-squares line through the columns xs, ys in y = mx + b form, weighted
+    unless ``weights`` is None; equal weights give the unweighted fit bit for bit."""
+    if not xs:
+        raise EmptyInput("cannot fit an empty point list")
+    if len(xs) < 2:
+        raise InsufficientData("a line fit needs at least 2 points")
+    if weights is not None and len(weights) != len(xs):
+        raise LengthMismatch(f"{len(weights)} weights for {len(xs)} points")
+    for w in () if weights is None else weights:
+        if not (0 < w <= _DOUBLE_MAX):
+            raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
+    ws = [1.0] * len(xs) if weights is None else [float(w) for w in weights]
+    xs, ys = _floats(xs, ys)
+    xbar, ybar, dx, dy, sx, sy, r = _centered(xs, ys, ws, axis)
+    # Squares of deviations below 2**-511 are subnormal and lose precision;
+    # raising beats returning a silently inaccurate fit.
+    if min(sx, sy) < 2.0**-511:
+        raise OutOfRange("deviations too small to square without underflow")
     if axis is Axis.Y_ON_X:
         m, b, sse = _regress(xs, ys, ws, xbar, ybar, dx, dy)
     else:
@@ -197,12 +208,7 @@ def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
     Y_ON_X minimizes vertical deviations, X_ON_Y horizontal ones; an X_ON_Y
     result is re-expressed in y = mx + b form.
     """
-    if not points:
-        raise EmptyInput("cannot fit an empty point list")
-    if len(points) < 2:
-        raise InsufficientData("a line fit needs at least 2 points")
-    xs, ys = _split(points)
-    return _fit_weighted(xs, ys, [1.0] * len(xs), axis)
+    return _fit(*_columns(points), None, axis)
 
 
 def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
@@ -211,15 +217,7 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     The reported ``r`` is the weighted correlation and ``sse`` the weighted
     objective; with equal weights both reduce to their OLS values.
     """
-    if not points:
-        raise EmptyInput("cannot fit an empty point list")
-    if len(weights) != len(points):
-        raise LengthMismatch(f"{len(weights)} weights for {len(points)} points")
-    for w in weights:
-        if not (0 < w <= _DOUBLE_MAX):
-            raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
-    xs, ys = _split(points)
-    return _fit_weighted(xs, ys, [float(w) for w in weights], Axis.Y_ON_X)
+    return _fit(*_columns(points), weights, Axis.Y_ON_X)
 
 
 def _line(fit: LinearFit, xs) -> list[float]:
@@ -236,26 +234,40 @@ def predict(fit: LinearFit, x: float) -> float:
     return _line(fit, (x,))[0]
 
 
+def _residuals(fit: LinearFit, xs, ys) -> list[float]:
+    """v - (m*u + b) at each point, for the line v = m*u + b that the fit
+    minimized deviations from: y on x, or x on y for an X_ON_Y fit."""
+    try:
+        if fit.axis is Axis.Y_ON_X:
+            m, b, us, vs = fit.slope, fit.intercept, xs, ys
+        else:
+            m, b, us, vs = 1.0 / fit.slope, -fit.intercept / fit.slope, ys, xs
+        return _require_finite([v - (m * u + b) for u, v in zip(us, vs)], "residual")
+    except OverflowError:  # a coordinate is an int too large for a float
+        _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
+        raise
+
+
 def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
     """Per-point deviations, in input order.
 
     Vertical (observed y minus line) for a Y_ON_X fit; the mirrored
     horizontal definition for an X_ON_Y fit.
     """
-    try:
-        if fit.axis is Axis.Y_ON_X:
-            return _require_finite([y - (fit.slope * x + fit.intercept) for x, y in points], "residual")
-        mp = 1.0 / fit.slope
-        bp = -fit.intercept / fit.slope
-        return _require_finite([x - (mp * y + bp) for x, y in points], "residual")
-    except OverflowError:  # a coordinate is an int too large for a float
-        _require_finite(chain.from_iterable(points), "non-finite coordinate")
-        raise
+    return _residuals(fit, *_columns(points))
 
 
 def sse(fit: LinearFit, points: list[Point]) -> float:
     """Sum of squared deviations of the points from the fitted line."""
     return _fsum(d * d for d in residuals(fit, points))
+
+
+def _correlation(xs, ys) -> float:
+    """``correlation`` of the columns ``xs`` and ``ys``."""
+    if len(xs) < 2:
+        raise InsufficientData("correlation needs at least 2 points")
+    xs, ys = _floats(xs, ys)
+    return _centered(xs, ys, [1.0] * len(xs))[-1]
 
 
 def correlation(points: list[Point]) -> float:
@@ -264,10 +276,7 @@ def correlation(points: list[Point]) -> float:
     Equals (n*sum(xy) - sum(x)*sum(y)) / sqrt((n*sum(x^2) - sum(x)^2) *
     (n*sum(y^2) - sum(y)^2)), computed in centered form.
     """
-    if len(points) < 2:
-        raise InsufficientData("correlation needs at least 2 points")
-    xs, ys = _split(points)
-    return _centered(xs, ys, [1.0] * len(xs))[4]
+    return _correlation(*_columns(points))
 
 
 def classify_fit(r: float) -> FitClass:

@@ -6,16 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .dataset import Series, _require_valid
-from .regression import (
-    Axis,
-    FitClass,
-    LinearFit,
-    _line,
-    classify_fit,
-    ols_fit,
-    residuals,
-    wls_fit,
-)
+from .regression import Axis, FitClass, LinearFit, _fit, _line, _residuals, classify_fit
 from .stepmodel import _GN_MAX_ITER, NlFit, StepModelParams
 
 
@@ -52,12 +43,9 @@ def build_report(
     imports numpy on first use.
     """
     _require_valid(series)
-    points = series.points()
-    if weights is not None:
-        fit = wls_fit(points, weights)
-    else:
-        fit = ols_fit(points, axis)
-    rows = list(zip(series.times, series.temps, _line(fit, series.times), residuals(fit, points)))
+    xs, ys = series.times, series.temps
+    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X)
+    rows = list(zip(xs, ys, _line(fit, xs), _residuals(fit, xs, ys)))
     nl = None
     if nonlinear:
         from .stepfit import gauss_newton  # deferred: stepfit imports numpy

@@ -12,7 +12,7 @@ import math
 from html import escape
 
 from .dataset import Series, _require_valid
-from .regression import LinearFit, predict
+from .regression import LinearFit, _line
 from .stepmodel import StepModelParams, model_eval
 
 WIDTH = 720
@@ -66,13 +66,13 @@ def render_plot(
     _require_valid(series)
     xs, ys = series.times, series.temps
 
-    x_lo, x_hi = min(xs), max(xs)
-    line_y = [predict(fit, x_lo), predict(fit, x_hi)]
-    y_all = [*ys, *line_y]
+    x_lo, x_hi = lx0, lx1 = min(xs), max(xs)
+    ly0, ly1 = _line(fit, (lx0, lx1))
+    y_all = [*ys, ly0, ly1]
     if nl_params is not None:
         # the step response is monotone in t, so its extremes on the plotted
         # range sit at the endpoints (t_final_c may lie far outside the plot)
-        y_all += [model_eval(nl_params, x_lo), model_eval(nl_params, x_hi)]
+        y_all += [model_eval(nl_params, lx0), model_eval(nl_params, lx1)]
     y_lo, y_hi = min(y_all), max(y_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -136,10 +136,9 @@ def render_plot(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="{POINT_COLOR}"/>'
         )
 
-    lx0, lx1 = min(xs), max(xs)
     parts.append(
-        f'<line x1="{_fmt(sx(lx0))}" y1="{_fmt(sy(predict(fit, lx0)))}" '
-        f'x2="{_fmt(sx(lx1))}" y2="{_fmt(sy(predict(fit, lx1)))}" '
+        f'<line x1="{_fmt(sx(lx0))}" y1="{_fmt(sy(ly0))}" '
+        f'x2="{_fmt(sx(lx1))}" y2="{_fmt(sy(ly1))}" '
         f'stroke="{LINE_COLOR}" stroke-width="1.5"/>'
     )
 

@@ -23,6 +23,7 @@ from thermofit.errors import (
     LengthMismatch,
     NonPositiveWeight,
     OutOfRange,
+    ThermofitError,
 )
 
 from oracles import FULL, IDLE, TIMES, brute_force_line, decimal_correlation, line_sse
@@ -311,6 +312,9 @@ def test_wls_errors():
         wls_fit(pts, [1.0, float("inf")])
     with pytest.raises(EmptyInput):
         wls_fit([], [])
+    # a single point raised DegenerateVariance, where ols_fit raises InsufficientData
+    with pytest.raises(InsufficientData, match="a line fit needs at least 2 points"):
+        wls_fit([(1.0, 2.0)], [1.0])
     with pytest.raises(DegenerateVariance):
         wls_fit([(1.0, 0.0), (1.0, 1.0)], [1.0, 1.0])
 
@@ -484,17 +488,36 @@ def test_sums_outside_double_range_raise(call):
 # --- inputs read once, weights checked against the double range ----------------------
 
 
+# Each call takes the points and their number, which the weights need.
+_ONE_PASS_CALLS = {
+    "summarize": lambda pts, n: summarize(pts),
+    "ols_fit": lambda pts, n: ols_fit(pts),
+    "ols_fit-x-on-y": lambda pts, n: ols_fit(pts, Axis.X_ON_Y),
+    "wls_fit": lambda pts, n: wls_fit(pts, [1.0] * n),
+    "correlation": lambda pts, n: correlation(pts),
+    "residuals": lambda pts, n: residuals(_LINE_FITS[0], pts),
+    "residuals-x-on-y": lambda pts, n: residuals(_LINE_FITS[1], pts),
+    "sse": lambda pts, n: sse(_LINE_FITS[0], pts),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_PASS_CALLS))
 @given(st.lists(st.tuples(_scaled, _scaled), max_size=8))
-@example([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)])  # a generator came back n=0 with every sum 0
-def test_summarize_of_an_iterator_equals_summarize_of_the_list(pts):
+# summarize of a generator came back n=0 with every sum 0; the three fits raised
+# TypeError from len() of an iterator
+@example([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)])
+def test_an_iterator_of_points_gives_what_the_list_gives(name, pts):
+    call = _ONE_PASS_CALLS[name]
     try:
-        expected = summarize(pts)
-    except (EmptyInput, OutOfRange) as e:
-        with pytest.raises(type(e)):
-            summarize(p for p in pts)
+        expected = call(pts, len(pts))
+    except ThermofitError as e:
+        for points in (iter(pts), (p for p in pts)):
+            with pytest.raises(ThermofitError) as info:
+                call(points, len(pts))
+            assert type(info.value) is type(e)
         return
-    assert summarize(p for p in pts) == expected
-    assert summarize(iter(pts)) == expected
+    assert call(iter(pts), len(pts)) == expected
+    assert call((p for p in pts), len(pts)) == expected
 
 
 def test_summarize_of_an_empty_iterable_raises():

@@ -21,6 +21,7 @@ from thermofit import (
     NlFit,
     PackageEntry,
     ProcessorSpec,
+    Series,
     StepModelParams,
     build_report,
     builtin_heatsinks,
@@ -40,6 +41,7 @@ from thermofit import (
     select_heatsink,
     sse,
     sse_gradient,
+    to_csv,
     validate,
     wls_fit,
 )
@@ -160,6 +162,7 @@ _LONG_CALLS = {
     "select_heatsink": lambda: select_heatsink(builtin_heatsinks(), 10.0, 90.0, 25.0, -_LONG),
     "ProcessorSpec": lambda: ProcessorSpec("x", _LONG, ""),
     "PackageEntry": lambda: PackageEntry("x", _LONG, 1.0),
+    "to_csv": lambda: to_csv(Series("b", [(_LONG, 1.0)])),
 }
 
 
