@@ -24,6 +24,7 @@ temperatures within the sanity bound [-273.15, 10000] degC.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange, _shown
@@ -59,8 +60,14 @@ class Series:
 
     def __init__(self, label: str, samples: Iterable[tuple[float, float]], power_w: float | None = None):
         times, temps = tuple(zip(*samples, strict=True)) or ((), ())
+        self._fill(label, times, temps, power_w)
+
+    def _fill(self, label: str, times: tuple, temps: tuple, power_w: float | None) -> Series:
+        """Set the fields to the given columns and return the series; on
+        ``Series.__new__(Series)`` it builds a Series without the transpose."""
         for name, value in zip(("label", "times", "temps", "power_w"), (label, times, temps, power_w)):
             object.__setattr__(self, name, value)
+        return self
 
     @property
     def samples(self) -> tuple[Sample, ...]:
@@ -153,33 +160,76 @@ def parse_csv(text: str) -> Series:
     when it belongs to a sample.  Never returns an invalid Series, and the
     one it returns is marked valid, so the step-model functions do not
     check it again.
+
+    A body of plain ``time,temperature`` lines is read in one split; any other
+    body, and every syntax error, goes through the line-by-line reader.
     """
+    label, power_w, body, first = _head(text.split("\n"))
+    columns = _plain_body(body)
+    if columns is None:
+        *columns, lines = _body_rows(body, first)
+    else:
+        lines = range(first, first + len(columns[0]))  # one sample per line
+    series = Series.__new__(Series)._fill(label, *columns, power_w)
+    _require_valid(series, lines)
+    return series
+
+
+def _head(lines: list[str]) -> tuple[str, float | None, list[str], int]:
+    """Read the comments and the header row: (label, power_w, the lines after
+    the header, the line number of the first of them)."""
     label = ""
     power_w: float | None = None
-    rows: list[tuple[float, float]] = []
-    lines: list[int] = []
-    seen_header = False
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if not seen_header:
-                key, _, value = line[1:].partition(":")
-                key = key.strip().lower()
-                if key == "label":
-                    label = value.strip()
-                elif key == "power_w":
-                    try:
-                        power_w = _number(value)
-                    except ValueError:
-                        raise MalformedRow(f"line {lineno}: power_w is not a number: {value.strip()!r}")
+            key, _, value = line[1:].partition(":")
+            key = key.strip().lower()
+            if key == "label":
+                label = value.strip()
+            elif key == "power_w":
+                try:
+                    power_w = _number(value)
+                except ValueError:
+                    raise MalformedRow(f"line {lineno}: power_w is not a number: {value.strip()!r}")
             continue
-        if not seen_header:
-            if line != _HEADER:
-                raise MalformedRow(f"line {lineno}: expected header {_HEADER!r}, got {line!r}")
-            seen_header = True
+        if line != _HEADER:
+            raise MalformedRow(f"line {lineno}: expected header {_HEADER!r}, got {line!r}")
+        return label, power_w, lines[lineno:], lineno + 1
+    raise MalformedRow(f"missing header row {_HEADER!r}")
+
+
+def _plain_body(lines: list[str]) -> tuple[tuple, tuple] | None:
+    """The time and temperature columns of ``lines``, read in one split, when
+    every line but a blank last one is one comma between two numbers in
+    :func:`_plain` text; otherwise None.  A comment has no number before its
+    comma, so it is refused too."""
+    if lines and not lines[-1].strip():
+        lines = lines[:-1]
+    if set(map(str.count, lines, repeat(","))) != {1}:
+        return None
+    joined = ",".join(lines)
+    if not _plain(joined):
+        return None
+    fields = joined.split(",")
+    try:
+        return tuple(map(float, fields[0::2])), tuple(map(float, fields[1::2]))
+    except ValueError:
+        return None
+
+
+def _body_rows(lines: list[str], first: int) -> tuple[tuple, tuple, list[int]]:
+    """Read the lines after the header one by one: the time and temperature
+    columns and each sample's line number.  Blank lines and comments are
+    skipped; every syntax error in the body is raised here."""
+    times: list[float] = []
+    temps: list[float] = []
+    numbers: list[int] = []
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         fields = line.split(",")
         if len(fields) != 2:
@@ -187,16 +237,13 @@ def parse_csv(text: str) -> Series:
         try:
             if not _plain(line):  # once per row, not once per field
                 raise ValueError(line)
-            rows.append((float(fields[0]), float(fields[1])))
+            t, y = float(fields[0]), float(fields[1])
         except ValueError:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
-        lines.append(lineno)
-
-    if not seen_header:
-        raise MalformedRow(f"missing header row {_HEADER!r}")
-    series = Series(label, rows, power_w)
-    _require_valid(series, lines)
-    return series
+        times.append(t)
+        temps.append(y)
+        numbers.append(lineno)
+    return tuple(times), tuple(temps), numbers
 
 
 def to_csv(series: Series) -> str:
@@ -209,7 +256,10 @@ def to_csv(series: Series) -> str:
     if series.label:
         lines.append(f"# label: {series.label}")
     if series.power_w is not None:
-        lines.append(f"# power_w: {series.power_w!r}")
+        try:
+            lines.append(f"# power_w: {series.power_w!r}")
+        except ValueError:  # as for a sample below
+            raise OutOfRange(f"cannot write power_w={_shown(series.power_w)}") from None
     lines.append(_HEADER)
     for t, y in zip(series.times, series.temps):
         try:

@@ -34,6 +34,8 @@ from .errors import (
 
 Point = tuple[float, float]
 
+_ZERO_X_ON_Y_SLOPE = "x-on-y slope is zero; line is vertical in y = mx + b form"
+
 
 class Axis(enum.Enum):
     """Which deviations the fit minimizes."""
@@ -133,6 +135,10 @@ def _pearson_from_devs(dx, dy, ws, sx, sy) -> float:
     nxx = _fsum(w * (a / sx) ** 2 for w, a in zip(ws, dx))
     nyy = _fsum(w * (b / sy) ** 2 for w, b in zip(ws, dy))
     nxy = _fsum(w * (a / sx) * (b / sy) for w, a, b in zip(ws, dx, dy))
+    return _clamped_r(nxx, nyy, nxy)
+
+
+def _clamped_r(nxx, nyy, nxy) -> float:
     return max(-1.0, min(1.0, nxy / math.sqrt(nxx * nyy)))
 
 
@@ -171,15 +177,18 @@ def _regress(us, vs, ws, ubar, vbar, du, dv):
     return m, b, sse
 
 
-def _fit(xs, ys, weights, axis: Axis) -> LinearFit:
+def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
     """Least-squares line through the columns xs, ys in y = mx + b form, weighted
-    unless ``weights`` is None; equal weights give the unweighted fit bit for bit."""
+    unless ``weights`` is None; equal weights give the unweighted fit bit for bit.
+    With ``arrays`` the fit is computed by :func:`_fit_arrays` where it can be."""
     if not xs:
         raise EmptyInput("cannot fit an empty point list")
     if len(xs) < 2:
         raise InsufficientData("a line fit needs at least 2 points")
     if weights is not None and len(weights) != len(xs):
         raise LengthMismatch(f"{len(weights)} weights for {len(xs)} points")
+    if arrays and (fit := _on_arrays(_fit_arrays, xs, ys, weights, axis)) is not None:
+        return fit
     for w in () if weights is None else weights:
         if not (0 < w <= _DOUBLE_MAX):
             raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
@@ -196,10 +205,110 @@ def _fit(xs, ys, weights, axis: Axis) -> LinearFit:
         # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
         mp, bp, sse = _regress(ys, xs, ws, ybar, xbar, dy, dx)
         if mp == 0.0:
-            raise DegenerateVariance("x-on-y slope is zero; line is vertical in y = mx + b form")
+            raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
         m, b = 1.0 / mp, -bp / mp
     _require_finite((m, b), "fit overflowed")
     return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
+
+
+# --- the array path ---------------------------------------------------------------
+#
+# _fit, _line and _residuals can run on numpy arrays.  Each product, quotient
+# and square is formed by numpy with the Python core's operations in its order
+# (IEEE-754 rounds each one alike; squares go through np.float_power, which
+# calls the C library's pow as Python's ** does), and each sum is _fsum's exact
+# sum of the array's values, so the result is the Python core's bit for bit.
+# Where the Python core would raise, or a value is not finite, the array path
+# gives up and the Python core computes the result or raises its error.
+
+class _Refused(Exception):
+    """The array path cannot vouch for a result."""
+
+
+def _on_arrays(core, *args):
+    """``core(np, *args)``, or None where the array path refuses."""
+    import numpy as np  # deferred: only the array path needs numpy
+
+    try:
+        with np.errstate(all="ignore"):  # non-finite values are refused, not warned about
+            return core(np, *args)
+    except _Refused:
+        return None
+
+
+def _vector(np, values):
+    """``values`` as a float64 array, all finite; refused unless numpy reads them
+    as floats or ints, which it converts as float() does."""
+    try:
+        a = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        raise _Refused from None
+    if a.ndim != 1 or a.dtype.kind not in "fi":
+        raise _Refused
+    return _finite(np, a.astype(float))
+
+
+def _finite(np, a):
+    if not np.isfinite(a).all():
+        raise _Refused
+    return a
+
+
+def _asum(np, terms) -> float:
+    """_fsum of the array ``terms``; refused unless every term and the sum are finite."""
+    try:
+        return math.fsum(_finite(np, terms).tolist())
+    except OverflowError:
+        raise _Refused from None
+
+
+def _square(np, a):
+    return np.float_power(a, 2.0)  # the C library's pow, as Python's a ** 2 uses
+
+
+def _fit_arrays(np, xs, ys, weights, axis: Axis) -> LinearFit:
+    """:func:`_fit` of at least 2 points and as many weights, on arrays."""
+    x, y = _vector(np, xs), _vector(np, ys)
+    w = np.ones(len(x)) if weights is None else _vector(np, weights)
+    if not (w > 0).all() or x.min() == x.max() or y.min() == y.max():
+        raise _Refused
+    sw = _asum(np, w)
+    xbar, ybar = _asum(np, w * x) / sw, _asum(np, w * y) / sw
+    dx, dy = x - xbar, y - ybar
+    sx, sy = float(np.abs(dx).max()), float(np.abs(dy).max())
+    qx, qy = dx / sx, dy / sy
+    r = _clamped_r(_asum(np, w * _square(np, qx)), _asum(np, w * _square(np, qy)), _asum(np, w * qx * qy))
+    if min(sx, sy) < 2.0**-511:
+        raise _Refused
+    if axis is Axis.Y_ON_X:
+        m, b, sse = _regress_arrays(np, x, y, w, xbar, ybar, dx, dy)
+    else:
+        mp, bp, sse = _regress_arrays(np, y, x, w, ybar, xbar, dy, dx)
+        if mp == 0.0:
+            raise _Refused
+        m, b = 1.0 / mp, -bp / mp
+    if not (abs(m) <= _DOUBLE_MAX and abs(b) <= _DOUBLE_MAX):
+        raise _Refused
+    return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(x))
+
+
+def _regress_arrays(np, u, v, w, ubar, vbar, du, dv):
+    """:func:`_regress` on arrays."""
+    wdu = w * du
+    suu, suv = _asum(np, wdu * du), _asum(np, wdu * dv)
+    if suu < sys.float_info.min:
+        raise _Refused
+    m = suv / suu
+    b = vbar - m * ubar
+    return m, b, _asum(np, w * _square(np, v - (m * u + b)))
+
+
+def _affine_arrays(np, m, b, us, vs) -> list[float]:
+    """m*u + b at each of ``us``, or v - (m*u + b) when ``vs`` is given, on arrays."""
+    if type(m) is not float or type(b) is not float:  # numpy, not Python, would convert other types
+        raise _Refused
+    line = m * _vector(np, us) + b
+    return _finite(np, line if vs is None else _vector(np, vs) - line).tolist()
 
 
 def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
@@ -220,8 +329,11 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     return _fit(*_columns(points), weights, Axis.Y_ON_X)
 
 
-def _line(fit: LinearFit, xs) -> list[float]:
-    """The fitted line at each of ``xs``, all finite or OutOfRange."""
+def _line(fit: LinearFit, xs, arrays: bool = False) -> list[float]:
+    """The fitted line at each of ``xs``, all finite or OutOfRange; on numpy
+    arrays with ``arrays``, where they can be used."""
+    if arrays and (line := _on_arrays(_affine_arrays, fit.slope, fit.intercept, xs, None)) is not None:
+        return line
     try:
         return _require_finite([fit.slope * x + fit.intercept for x in xs], "predicted value")
     except OverflowError:  # an x is an int too large for a float
@@ -234,14 +346,19 @@ def predict(fit: LinearFit, x: float) -> float:
     return _line(fit, (x,))[0]
 
 
-def _residuals(fit: LinearFit, xs, ys) -> list[float]:
+def _residuals(fit: LinearFit, xs, ys, arrays: bool = False) -> list[float]:
     """v - (m*u + b) at each point, for the line v = m*u + b that the fit
-    minimized deviations from: y on x, or x on y for an X_ON_Y fit."""
+    minimized deviations from: y on x, or x on y for an X_ON_Y fit; on numpy
+    arrays with ``arrays``, where they can be used."""
+    if fit.axis is Axis.X_ON_Y and fit.slope == 0.0:
+        raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
     try:
         if fit.axis is Axis.Y_ON_X:
             m, b, us, vs = fit.slope, fit.intercept, xs, ys
         else:
             m, b, us, vs = 1.0 / fit.slope, -fit.intercept / fit.slope, ys, xs
+        if arrays and (ds := _on_arrays(_affine_arrays, m, b, us, vs)) is not None:
+            return ds
         return _require_finite([v - (m * u + b) for u, v in zip(us, vs)], "residual")
     except OverflowError:  # a coordinate is an int too large for a float
         _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")

@@ -10,7 +10,7 @@ from .regression import Axis, FitClass, LinearFit, _fit, _line, _residuals, clas
 from .stepmodel import _GN_MAX_ITER, NlFit, StepModelParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FitReport:
     """Everything a fit run produced, ready for rendering.
 
@@ -19,13 +19,54 @@ class FitReport:
     minimized (``regression.residuals``): observed - predicted for a y-on-x
     fit, the horizontal x - x(observed) for an x-on-y fit.  For an unweighted
     fit the squared residuals therefore sum to ``linear.sse``.
+
+    The report stores the table as its four columns; ``residual_table`` is a
+    view that rebuilds the rows from them.  A table that is not rows of four
+    values is stored and shown as given, and the writers refuse it.
     """
 
     series_label: str
     linear: LinearFit
     fit_class: FitClass
-    residual_table: tuple[tuple[float, float, float, float], ...]
+    _columns: tuple
     nonlinear: NlFit | None = None
+
+    def __init__(
+        self,
+        series_label: str,
+        linear: LinearFit,
+        fit_class: FitClass,
+        residual_table=None,
+        nonlinear: NlFit | None = None,
+        *,
+        _columns: tuple | None = None,
+    ):
+        # dataclasses.replace passes _columns, and residual_table only when it changes
+        if residual_table is not None:
+            _columns = _columns_of(residual_table)
+        if _columns is None:
+            raise TypeError("FitReport() needs a residual_table")
+        fields = ("series_label", "linear", "fit_class", "_columns", "nonlinear")
+        for name, value in zip(fields, (series_label, linear, fit_class, _columns, nonlinear)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def residual_table(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The rows (x, observed, predicted, residual), a view built from the columns."""
+        if len(self._columns) == 1:  # not rows of four values: the table as given
+            return self._columns[0]
+        return tuple(zip(*self._columns))
+
+
+def _columns_of(table) -> tuple:
+    """The four columns of a table of rows of four values; any other table is
+    kept whole, as one column."""
+    rows = tuple(table)
+    try:
+        columns = tuple(zip(*rows, strict=True)) or ((),) * 4
+    except (TypeError, ValueError):
+        return (rows,)
+    return columns if len(columns) == 4 else (rows,)
 
 
 def build_report(
@@ -44,34 +85,40 @@ def build_report(
     """
     _require_valid(series)
     xs, ys = series.times, series.temps
-    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X)
-    rows = list(zip(xs, ys, _line(fit, xs), _residuals(fit, xs, ys)))
+    # numpy is loaded only where the curve fit loads it anyway
+    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, nonlinear)
+    columns = (xs, ys, tuple(_line(fit, xs, nonlinear)), tuple(_residuals(fit, xs, ys, nonlinear)))
     nl = None
     if nonlinear:
         from .stepfit import gauss_newton  # deferred: stepfit imports numpy
 
         nl = gauss_newton(series, nl_init, max_iter=nl_max_iter)
-    return FitReport(
-        series_label=series.label,
-        linear=fit,
-        fit_class=classify_fit(fit.r),
-        residual_table=tuple(rows),
-        nonlinear=nl,
-    )
+    return FitReport(series.label, fit, classify_fit(fit.r), nonlinear=nl, _columns=columns)
 
 
-def _flat(table) -> list:
-    """The table's values row by row, in one pass; a row that is not four
-    values raises ValueError."""
-    flat: list = []
-    for x, y, p, d in table:
-        flat += x, y, p, d
+def _interleaved(columns, form=tuple) -> list:
+    """The values of the four columns, each passed through ``form``, row by
+    row.  A table kept whole raises what unpacking its bad row would: TypeError
+    for a row that is not iterable, ValueError for one that is not four values."""
+    x, y, p, d = columns if len(columns) == 4 else zip(*columns[0], strict=True)
+    flat = [None] * (4 * len(x))
+    flat[0::4], flat[1::4], flat[2::4], flat[3::4] = map(form, (x, y, p, d))
     return flat
 
 
 # One residual row as json.dumps(..., indent=2) lays it out inside the report.
 _JSON_ROW = '    {\n      "x": %s,\n      "observed": %s,\n      "predicted": %s,\n      "residual": %s\n    }'
 _JSON_SLOT = '\n  "residuals": []'
+
+
+def _json_values(column) -> list[str]:
+    """Each value of ``column`` as json writes it, by json's C encoder in one call."""
+    if not column:
+        return []
+    text = json.dumps(column)[1:-1]  # no indent: json's C encoder
+    if '"' in text or "[" in text or "{" in text:
+        raise TypeError("residual_table entries must be numbers")
+    return text.split(", ")
 
 
 def render_json(report: FitReport) -> str:
@@ -104,13 +151,10 @@ def render_json(report: FitReport) -> str:
             "converged": nl.converged,
         }
     head = json.dumps(obj, indent=2)
-    flat = _flat(report.residual_table)
-    if not flat:
+    values = _interleaved(report._columns, _json_values)
+    if not values:
         return head + "\n"
-    values = json.dumps(flat)[1:-1]  # no indent: json's C encoder
-    if '"' in values or "[" in values or "{" in values:
-        raise TypeError("residual_table entries must be numbers")
-    rows = ",\n".join([_JSON_ROW] * (len(flat) // 4)) % tuple(values.split(", "))
+    rows = ",\n".join([_JSON_ROW] * (len(values) // 4)) % tuple(values)
     # json escapes a newline inside a string, so the first match is the top-level key
     before, _, after = head.partition(_JSON_SLOT)
     return "".join((before, '\n  "residuals": [\n', rows, "\n  ]", after, "\n"))
@@ -138,7 +182,7 @@ def render_text(report: FitReport, color: bool = False) -> str:
         "",
         f"{'x':>10}  {'observed':>10}  {'predicted':>10}  {'residual':>10}",
     ]
-    flat = _flat(report.residual_table)
+    flat = _interleaved(report._columns)
     if flat:
         lines.append("\n".join([_TEXT_ROW] * (len(flat) // 4)) % tuple(flat))
     if report.nonlinear is not None:

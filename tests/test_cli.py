@@ -386,6 +386,7 @@ print("numpy" in sys.modules, code)
     [
         pytest.param((), False, id="import"),
         pytest.param(("fit", "--builtin", "full", "--json"), False, id="fit-json"),
+        pytest.param(("fit", "small.csv"), False, id="fit-csv"),
         pytest.param(("fit", "--builtin", "full"), False, id="fit-text"),
         pytest.param(("correlate", "--builtin", "idle"), False, id="correlate"),
         pytest.param(("predict", "-m", "0.7288", "-b", "17.504", "-x", "60"), False, id="predict"),
@@ -400,6 +401,7 @@ print("numpy" in sys.modules, code)
     ],
 )
 def test_numpy_is_loaded_only_to_fit_a_curve(tmp_path, argv, numpy_loaded):
+    (tmp_path / "small.csv").write_text(to_csv(builtin_series("full")))
     src = str(Path(thermofit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = _RUN_AS_THERMOFIT if argv else "import sys, thermofit.cli; print('numpy' in sys.modules, 0)"

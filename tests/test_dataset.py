@@ -1,9 +1,10 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from thermofit import Sample, Series, builtin_series, builtin_profiles, gauss_newton, parse_csv, to_csv, validate
 from thermofit import dataset
@@ -229,6 +230,57 @@ def valid_series(draw):
 @given(valid_series())
 def test_csv_round_trip(series):
     assert parse_csv(to_csv(series)) == series
+
+
+# --- the one-split body and the line-by-line reader ----------------------------------
+
+_pad = st.sampled_from(["", " ", "\t", "  "])
+_temp = st.floats(-300.0, 10100.0).map(repr) | st.integers(-300, 10100).map(str) | st.sampled_from(["nan", "2e1"])
+_odd_line = st.sampled_from(
+    ["", "  ", "\t", "\r", "# note, with a comma", "1,2,3", "7", "\u0661,20", "1_0,20", "ab,20", "5,20\u2028"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and body lines: mostly rows with increasing times, some with a
+    repeated time or a bad temperature, and some lines the one split refuses."""
+    head = draw(st.sampled_from(["", "# label: a\n", "# power_w: 150\n\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, t = [], 0.0
+    for odd in draw(st.lists(st.integers(0, 3).map(lambda k: k == 0), max_size=12)):
+        if odd:
+            lines.append(draw(_odd_line))
+            continue
+        t += draw(st.sampled_from([1.0, 1.0, 0.5, 0.0]))
+        lines.append(draw(_pad) + repr(t) + draw(_pad) + "," + draw(_pad) + draw(_temp) + draw(_pad))
+    return head + "time_s,temperature_c" + end + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _parsed(text):
+    """The Series parse_csv returns, or its error type and message."""
+    try:
+        return parse_csv(text)
+    except ThermofitError as e:
+        return type(e), str(e)
+
+
+@given(csv_texts())
+@example("time_s,temperature_c\n0,20,21\n1\n")  # two commas in one line, none in the next
+@example("time_s,temperature_c\n1_0,20\n\u0661,20")  # float() reads both
+def test_the_one_split_body_agrees_with_the_line_loop(text):
+    with mock.patch.object(dataset, "_plain_body", return_value=None):
+        by_lines = _parsed(text)
+    assert _parsed(text) == by_lines
+
+
+def test_a_plain_body_is_read_in_one_split():
+    text = "# label: a\ntime_s,temperature_c\r\n 0.0 ,20.5\r\n1,\t2e1\r\n2.5,21\r\n"
+    with mock.patch.object(dataset, "_body_rows", side_effect=AssertionError("line loop")):
+        series = parse_csv(text)
+    assert series == Series("a", [(0.0, 20.5), (1.0, 20.0), (2.5, 21.0)])
+    with pytest.raises(NonIncreasingTime, match="^line 5: "):
+        parse_csv(text.replace("2.5,", "1.0,"))
 
 
 @given(st.text(max_size=300))

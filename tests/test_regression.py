@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, strategies as st
 from thermofit import (
     Axis,
     FitClass,
+    LinearFit,
     classify_fit,
     correlation,
     ols_fit,
@@ -26,10 +27,21 @@ from thermofit.errors import (
     ThermofitError,
 )
 
+from thermofit.regression import (
+    _affine_arrays,
+    _fit,
+    _fit_arrays,
+    _line,
+    _on_arrays,
+    _residuals,
+    _square,
+)
+
 from oracles import FULL, IDLE, TIMES, brute_force_line, decimal_correlation, line_sse
 
 IDLE_PTS = [(float(t), float(y)) for t, y in zip(TIMES, IDLE)]
 FULL_PTS = [(float(t), float(y)) for t, y in zip(TIMES, FULL)]
+FULL_XS, FULL_YS = (list(c) for c in zip(*FULL_PTS))
 
 # Confirmed against the brute-force and exact-decimal oracles before freezing
 # (tests below re-derive them; these constants document the expectation).
@@ -532,3 +544,98 @@ def test_wls_weight_outside_the_double_range_is_refused(w):
     # 10**400 raised an untyped OverflowError from math.isfinite
     with pytest.raises(NonPositiveWeight):
         wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [w, 1.0, 1.0])
+
+
+# --- the array path --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fit: residuals(fit, [(0.0, 1.0)]),
+        lambda fit: sse(fit, [(0.0, 1.0)]),
+        lambda fit: _residuals(fit, [0.0], [1.0], arrays=True),
+    ],
+    ids=["residuals", "sse", "_residuals-arrays"],
+)
+def test_residuals_of_a_zero_x_on_y_slope_are_degenerate(call):
+    # 1/slope raised an untyped ZeroDivisionError
+    with pytest.raises(DegenerateVariance, match="x-on-y slope is zero"):
+        call(LinearFit(0.0, 1.0, Axis.X_ON_Y, 0.5, 0.0, 2))
+
+
+def _outcome(call):
+    """The float.hex of every number a core returns, or its error type and message."""
+    try:
+        result = call()
+    except Exception as e:  # the Python core's untyped errors must match too
+        return type(e), str(e)
+    if isinstance(result, LinearFit):
+        return [float.hex(v) for v in (result.slope, result.intercept, result.r, result.sse)], result.n
+    return [float.hex(v) for v in result]
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 10**400, -0.0, 5e-324, 1e-310]
+
+
+@st.composite
+def _point_sets(draw):
+    """Columns at one scale from 1e-150 to 1e150: mostly plain, some with equal
+    values, subnormal deviations or one special value."""
+    n = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    column = st.lists(st.floats(-1e3, 1e3) | st.integers(-50, 50), min_size=n, max_size=n)
+    xs, ys = ([v * scale for v in draw(column)] for _ in "xy")
+    shape = draw(st.sampled_from(["plain"] * 4 + ["ints", "equal-x", "equal-y", "subnormal-x", "special"]))
+    if shape == "ints":
+        xs = draw(st.lists(st.integers(-(2**60), 2**60), min_size=n, max_size=n))
+    elif shape == "equal-x":
+        xs = [xs[0]] * n
+    elif shape == "equal-y":
+        ys = [ys[0]] * n
+    elif shape == "subnormal-x":
+        xs = [5e-324 * draw(st.integers(-3, 3)) for _ in range(n)]
+    elif shape == "special":
+        draw(st.sampled_from([xs, ys]))[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_SPECIAL))
+    return xs, ys
+
+
+_weight = st.floats(1e-3, 1e3)
+_weights = st.none() | st.lists(
+    _weight, min_size=12, max_size=12
+) | st.lists(_weight | st.sampled_from([0.0, -1.0, math.inf, 10**400]), min_size=12, max_size=12)
+
+
+@given(_point_sets(), _weights, st.sampled_from(Axis))
+@example(([0.0, 1.0, 2.0], [0.0, 2.0, 4.1]), None, Axis.Y_ON_X)
+@example(([0.0, 1e155, 2e155], [0.0, 1.0, 3.0]), None, Axis.Y_ON_X)  # squares overflow
+@example(([1e-160, 2e-160, 4e-160], [1.0, 3.0, 2.0]), [1.0, 2.0, 3.0], Axis.X_ON_Y)  # deviations underflow
+def test_the_array_core_is_the_python_core_bit_for_bit(columns, weights, axis):
+    xs, ys = columns
+    ws = None if weights is None else weights[: len(xs)]
+    if ws is not None:
+        axis = Axis.Y_ON_X
+    fit = _outcome(lambda: _fit(xs, ys, ws, axis, arrays=True))
+    assert fit == _outcome(lambda: _fit(xs, ys, ws, axis, arrays=False))
+    for line in (_fit(FULL_XS, FULL_YS, None, axis), _manual_fit(7.5e-3, -2.0, axis)):
+        assert _outcome(lambda: _line(line, xs, arrays=True)) == _outcome(lambda: _line(line, xs))
+        assert _outcome(lambda: _residuals(line, xs, ys, arrays=True)) == _outcome(lambda: _residuals(line, xs, ys))
+
+
+def test_the_array_path_squares_as_python_does():
+    # x*x and the C library's pow(x, 2), which Python's ** uses, differ in about
+    # one square in a thousand
+    import numpy as np
+
+    rng = random.Random(5)
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-160, 150) for _ in range(20_000)]
+    squares = _square(np, np.array(values)).tolist()
+    assert list(map(float.hex, squares)) == [float.hex(v**2) for v in values]
+
+
+def test_the_array_path_computes_where_the_python_core_does():
+    # the property above would hold trivially if the array path always gave up
+    fit = _fit(FULL_XS, FULL_YS, None, Axis.Y_ON_X)
+    assert _on_arrays(_fit_arrays, FULL_XS, FULL_YS, None, Axis.X_ON_Y) is not None
+    assert _on_arrays(_fit_arrays, FULL_XS, FULL_YS, [2.0] * len(FULL_XS), Axis.Y_ON_X) is not None
+    assert _on_arrays(_affine_arrays, fit.slope, fit.intercept, FULL_XS, FULL_YS) is not None

@@ -46,6 +46,7 @@ from thermofit import (
     wls_fit,
 )
 from thermofit.errors import ThermofitError
+from thermofit.regression import _fit, _line, _residuals
 from thermofit.svgplot import render_plot
 
 from conftest import synth_series
@@ -83,6 +84,13 @@ _CALLS = {
     "max_power": lambda v: max_power(v[0], abs(v[1]), v[2]),
     "gauss_newton": lambda v: gauss_newton(_STEP, _params(v), max_iter=20),
     "gradient_descent": lambda v: gradient_descent(_STEP, _params(v), max_iter=20),
+    # the array path of the line-fit cores
+    "_fit-arrays": lambda v: _fit(v[0::2], v[1::2], None, Axis.Y_ON_X, arrays=True),
+    "_fit-arrays-x-on-y": lambda v: _fit(v[0::2], v[1::2], None, Axis.X_ON_Y, arrays=True),
+    "_fit-arrays-weighted": lambda v: _fit(v[0::2], v[1::2], [1.0, 2.0, 3.0], Axis.Y_ON_X, arrays=True),
+    "_line-arrays": lambda v: _line(_FIT, v, arrays=True),
+    "_residuals-arrays": lambda v: _residuals(_FIT, v[0::2], v[1::2], arrays=True),
+    "_residuals-arrays-x-on-y": lambda v: _residuals(_FIT_X_ON_Y, v[0::2], v[1::2], arrays=True),
 }
 
 _EDGES = [10**400, -(10**400), 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0]
@@ -163,6 +171,7 @@ _LONG_CALLS = {
     "ProcessorSpec": lambda: ProcessorSpec("x", _LONG, ""),
     "PackageEntry": lambda: PackageEntry("x", _LONG, 1.0),
     "to_csv": lambda: to_csv(Series("b", [(_LONG, 1.0)])),
+    "to_csv-power_w": lambda: to_csv(Series("b", [(1.0, 1.0)], power_w=_LONG)),
 }
 
 

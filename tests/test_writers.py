@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from thermofit import Axis, FitClass, FitReport, LinearFit, NlFit, StepModelParams, render_json, render_text
+from thermofit import (
+    Axis,
+    FitClass,
+    FitReport,
+    LinearFit,
+    NlFit,
+    StepModelParams,
+    build_report,
+    builtin_series,
+    render_json,
+    render_text,
+)
 
 
 def reference_obj(report):
@@ -123,3 +134,21 @@ def test_writers_refuse_a_row_that_is_not_four_values(writer, row):
     report = FitReport("bad", _LINE, FitClass.MODERATE, ((0.0, 1.0, 1.0, 0.0), row))
     with pytest.raises(ValueError):
         writer(report)
+
+
+def test_a_report_keeps_its_table_as_columns():
+    report = build_report(builtin_series("full"))
+    assert report.residual_table[0][:2] == (1.0, 20.2)
+    assert FitReport(report.series_label, report.linear, report.fit_class, report.residual_table) == report
+    moved = dataclasses.replace(report, series_label="moved")
+    assert moved.residual_table == report.residual_table and moved != report
+    assert dataclasses.replace(moved, series_label=report.series_label) == report
+
+
+@pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), 3.0], ids=["short", "not-iterable"])
+def test_a_table_that_is_not_rows_of_four_is_kept_as_given(row):
+    table = ((0.0, 1.0, 1.0, 0.0), row)
+    report = FitReport("bad", _LINE, FitClass.MODERATE, table)
+    assert report.residual_table == table
+    with pytest.raises(ValueError if isinstance(row, tuple) else TypeError):
+        render_json(report)
