@@ -20,7 +20,7 @@ from . import __version__
 from .dataset import BUILTIN_NAMES, Series, _number, builtin_series, parse_csv
 from .errors import MalformedRow, ThermofitError, _require_finite
 from .regression import Axis, _correlation
-from .report import build_report, render_json, render_text
+from .report import _json_blocks, _text_blocks, build_report
 from .stepmodel import _GN_MAX_ITER
 from .svgplot import render_plot
 from .thermal import (
@@ -104,10 +104,12 @@ def cmd_fit(args) -> int:
         nonlinear=args.nonlinear,
         nl_max_iter=args.max_iter,
     )
+    # build_report's columns hold only finite numbers, which both writers take,
+    # so a report is written a block at a time and never stops part way
     if args.as_json:
-        sys.stdout.write(render_json(report))
+        sys.stdout.writelines(_json_blocks(report))
     else:
-        sys.stdout.write(render_text(report, color=_use_color()))
+        sys.stdout.writelines(_text_blocks(report, color=_use_color()))
     return _exit_status(report)
 
 

@@ -139,7 +139,16 @@ def _pearson_from_devs(dx, dy, ws, sx, sy) -> float:
 
 
 def _clamped_r(nxx, nyy, nxy) -> float:
-    return max(-1.0, min(1.0, nxy / math.sqrt(nxx * nyy)))
+    """nxy / sqrt(nxx * nyy) clamped to [-1, 1]; the square roots are taken
+    one at a time where the product would leave the normal double range."""
+    if min(nxx, nyy) < sys.float_info.min:
+        raise OutOfRange(f"weighted sum of squares {min(nxx, nyy)!r} is below the normal double range")
+    product = nxx * nyy
+    if sys.float_info.min <= product <= _DOUBLE_MAX:
+        root = math.sqrt(product)
+    else:
+        root = math.sqrt(nxx) * math.sqrt(nyy)
+    return max(-1.0, min(1.0, nxy / root))
 
 
 def _centered(xs, ys, ws, axis: Axis | None = None):
@@ -336,7 +345,8 @@ def _line(fit: LinearFit, xs, arrays: bool = False) -> list[float]:
         return line
     try:
         return _require_finite([fit.slope * x + fit.intercept for x in xs], "predicted value")
-    except OverflowError:  # an x is an int too large for a float
+    except OverflowError:  # the line or an x holds an int too large for a float
+        _require_finite((fit.slope, fit.intercept), "line parameter")
         _require_finite(xs, "x")
         raise
 
@@ -360,7 +370,8 @@ def _residuals(fit: LinearFit, xs, ys, arrays: bool = False) -> list[float]:
         if arrays and (ds := _on_arrays(_affine_arrays, m, b, us, vs)) is not None:
             return ds
         return _require_finite([v - (m * u + b) for u, v in zip(us, vs)], "residual")
-    except OverflowError:  # a coordinate is an int too large for a float
+    except OverflowError:  # the line or a coordinate holds an int too large for a float
+        _require_finite((fit.slope, fit.intercept), "line parameter")
         _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
         raise
 

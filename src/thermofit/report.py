@@ -96,13 +96,26 @@ def build_report(
     return FitReport(series.label, fit, classify_fit(fit.r), nonlinear=nl, _columns=columns)
 
 
-def _interleaved(columns, form=tuple) -> list:
-    """The values of the four columns, each passed through ``form``, row by
-    row.  A table kept whole raises what unpacking its bad row would: TypeError
-    for a row that is not iterable, ValueError for one that is not four values."""
+# The writers encode the residual rows this many at a time, so that what one
+# block holds, not what the whole table holds, bounds their working memory.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(columns):
+    """The four columns, sliced into blocks of at most ``_BLOCK_ROWS`` rows.
+    A table kept whole raises, before the first block, what unpacking its bad
+    row would: TypeError for a row that is not iterable, ValueError for one
+    that is not four values."""
     x, y, p, d = columns if len(columns) == 4 else zip(*columns[0], strict=True)
-    flat = [None] * (4 * len(x))
-    flat[0::4], flat[1::4], flat[2::4], flat[3::4] = map(form, (x, y, p, d))
+    for i in range(0, len(x), _BLOCK_ROWS):
+        j = i + _BLOCK_ROWS
+        yield x[i:j], y[i:j], p[i:j], d[i:j]
+
+
+def _interleaved(block, form=tuple) -> list:
+    """The values of the four columns of ``block``, each passed through ``form``, row by row."""
+    flat = [None] * (4 * len(block[0]))
+    flat[0::4], flat[1::4], flat[2::4], flat[3::4] = map(form, block)
     return flat
 
 
@@ -113,8 +126,6 @@ _JSON_SLOT = '\n  "residuals": []'
 
 def _json_values(column) -> list[str]:
     """Each value of ``column`` as json writes it, by json's C encoder in one call."""
-    if not column:
-        return []
     text = json.dumps(column)[1:-1]  # no indent: json's C encoder
     if '"' in text or "[" in text or "{" in text:
         raise TypeError("residual_table entries must be numbers")
@@ -125,10 +136,16 @@ def render_json(report: FitReport) -> str:
     """Machine-readable report; numbers keep full round-trip precision.
 
     The text equals ``json.dumps(obj, indent=2) + "\n"`` for the report's
-    dict, but the residual values are written by json's C encoder in one
-    call and laid out with a row template.  An entry of ``residual_table``
-    that json would write as a string, list or object raises TypeError.
+    dict, but the residual values are written by json's C encoder a block
+    of rows at a time and laid out with a row template.  An entry of
+    ``residual_table`` that json would write as a string, list or object
+    raises TypeError.
     """
+    return "".join(_json_blocks(report))
+
+
+def _json_blocks(report: FitReport):
+    """``render_json``'s text in pieces: the head, the rows of each block, the tail."""
     obj: dict = {
         "label": report.series_label,
         "n": report.linear.n,
@@ -151,21 +168,30 @@ def render_json(report: FitReport) -> str:
             "converged": nl.converged,
         }
     head = json.dumps(obj, indent=2)
-    values = _interleaved(report._columns, _json_values)
-    if not values:
-        return head + "\n"
-    rows = ",\n".join([_JSON_ROW] * (len(values) // 4)) % tuple(values)
+    if not report._columns[0]:
+        yield head + "\n"
+        return
     # json escapes a newline inside a string, so the first match is the top-level key
     before, _, after = head.partition(_JSON_SLOT)
-    return "".join((before, '\n  "residuals": [\n', rows, "\n  ]", after, "\n"))
+    yield before + '\n  "residuals": [\n'
+    sep = ""
+    for block in _blocks(report._columns):
+        yield (sep + ",\n".join([_JSON_ROW] * len(block[0]))) % tuple(_interleaved(block, _json_values))
+        sep = ",\n"
+    yield "\n  ]" + after + "\n"
 
 
-_TEXT_ROW = "%10.4f  %10.4f  %10.4f  %10.4f"
+_TEXT_ROW = "%10.4f  %10.4f  %10.4f  %10.4f\n"
 _CLASS_COLOR = {FitClass.GOOD: "32", FitClass.MODERATE: "33", FitClass.POOR: "31"}
 
 
 def render_text(report: FitReport, color: bool = False) -> str:
     """Human-readable report, values to 4 decimal places."""
+    return "".join(_text_blocks(report, color))
+
+
+def _text_blocks(report: FitReport, color: bool = False):
+    """``render_text``'s text in pieces: the head, the rows of each block, the tail."""
 
     def paint(text: str, sgr: str) -> str:
         return f"\x1b[{sgr}m{text}\x1b[0m" if color else text
@@ -182,13 +208,13 @@ def render_text(report: FitReport, color: bool = False) -> str:
         "",
         f"{'x':>10}  {'observed':>10}  {'predicted':>10}  {'residual':>10}",
     ]
-    flat = _interleaved(report._columns)
-    if flat:
-        lines.append("\n".join([_TEXT_ROW] * (len(flat) // 4)) % tuple(flat))
+    yield "\n".join(lines) + "\n"
+    for block in _blocks(report._columns):
+        yield (_TEXT_ROW * len(block[0])) % tuple(_interleaved(block))
     if report.nonlinear is not None:
         nl = report.nonlinear
         status = "converged" if nl.converged else "NOT converged"
-        lines += [
+        lines = [
             "",
             paint("step-response fit  T(t) = Tinf + (T0 - Tinf)*exp(-t/tau)", "1"),
             f"T0          {nl.params.t_ambient_c:.4f}",
@@ -197,4 +223,4 @@ def render_text(report: FitReport, color: bool = False) -> str:
             f"sse         {nl.sse:.4f}",
             f"iterations  {nl.iterations} ({status})",
         ]
-    return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import thermofit
-from thermofit import builtin_series, to_csv
+from thermofit import Axis, Series, build_report, builtin_series, parse_csv, render_json, render_text, to_csv
 from thermofit.cli import main
+from thermofit.report import _BLOCK_ROWS
 
 
 def run(capsys, *argv):
@@ -60,6 +61,32 @@ def test_fit_csv_export_byte_identical_json(capsys, tmp_path):
     path.write_text(to_csv(builtin_series("idle")), encoding="utf-8")
     _, file_out, _ = run(capsys, "fit", str(path), "--json")
     assert file_out == builtin_out
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        ((), {}),
+        (("--json",), {}),
+        (("--nonlinear", "--json"), {"nonlinear": True}),
+        (("--axis", "x-on-y"), {"axis": Axis.X_ON_Y}),
+    ],
+    ids=["text", "json", "nonlinear-json", "x-on-y-text"],
+)
+def test_fit_writes_what_the_library_writers_return(capsys, tmp_path, flags, kwargs):
+    # fit writes its report a block at a time; this table spans three blocks
+    n = 2 * _BLOCK_ROWS + 100
+    rows = [(float(t), 60.0 - 40.0 * math.exp(-t / (n / 3)) + 0.3 * math.sin(t)) for t in range(n)]
+    path = tmp_path / "long.csv"
+    path.write_text(to_csv(Series("long", rows)), encoding="utf-8")
+    report = build_report(parse_csv(path.read_text(encoding="utf-8")), **kwargs)
+    if "--json" in flags:
+        expected = render_json(report)
+        assert expected == json.dumps(json.loads(expected), indent=2) + "\n"
+    else:
+        expected = render_text(report)
+        assert len(expected.splitlines()) == 9 + n
+    assert run(capsys, "fit", str(path), *flags) == (0, expected, "")
 
 
 def test_fit_with_weights(capsys, tmp_path):

@@ -546,6 +546,46 @@ def test_wls_weight_outside_the_double_range_is_refused(w):
         wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [w, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("w", [1e-170, 1e-300, 1e200, 1e300])
+@pytest.mark.parametrize("arrays", [False, True], ids=["python", "arrays"])
+def test_wls_r_of_equal_weights_far_from_1_is_the_unweighted_r(w, arrays):
+    # the product of the two weighted sums of squares underflowed (an untyped
+    # ZeroDivisionError) or overflowed (r came back 0.0)
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]
+    fit = _fit(xs, ys, [w] * 3, Axis.Y_ON_X, arrays)
+    assert fit.r == pytest.approx(ols_fit(zip(xs, ys)).r, rel=1e-14)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["python", "arrays"])
+def test_wls_of_subnormal_weights_is_out_of_range(arrays):
+    with pytest.raises(OutOfRange, match="below the normal double range"):
+        _fit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [1e-320] * 3, Axis.Y_ON_X, arrays)
+
+
+_HUGE_LINES = [
+    LinearFit(10**400, 1.0, Axis.Y_ON_X, 0.5, 0.0, 2),
+    LinearFit(1.0, 10**400, Axis.Y_ON_X, 0.5, 0.0, 2),
+    LinearFit(10**400, 1.0, Axis.X_ON_Y, 0.5, 0.0, 2),
+    LinearFit(1.0, 10**400, Axis.X_ON_Y, 0.5, 0.0, 2),
+]
+
+
+@pytest.mark.parametrize("fit", _HUGE_LINES, ids=["slope", "intercept", "slope-x-on-y", "intercept-x-on-y"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fit: predict(fit, 1.0),
+        lambda fit: residuals(fit, [(1.0, 2.0)]),
+        lambda fit: _residuals(fit, [1.0], [2.0], arrays=True),
+    ],
+    ids=["predict", "residuals", "_residuals-arrays"],
+)
+def test_a_line_parameter_too_large_for_a_float_is_out_of_range(fit, call):
+    # the int was multiplied by a float: an untyped OverflowError
+    with pytest.raises(OutOfRange, match="an int too large for a float"):
+        call(fit)
+
+
 # --- the array path --------------------------------------------------------------
 
 
@@ -610,6 +650,9 @@ _weights = st.none() | st.lists(
 @example(([0.0, 1.0, 2.0], [0.0, 2.0, 4.1]), None, Axis.Y_ON_X)
 @example(([0.0, 1e155, 2e155], [0.0, 1.0, 3.0]), None, Axis.Y_ON_X)  # squares overflow
 @example(([1e-160, 2e-160, 4e-160], [1.0, 3.0, 2.0]), [1.0, 2.0, 3.0], Axis.X_ON_Y)  # deviations underflow
+@example(([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]), [1e-170] * 12, Axis.Y_ON_X)  # r's denominator underflows
+@example(([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]), [1e300] * 12, Axis.Y_ON_X)  # r's denominator overflows
+@example(([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]), [1e-320] * 12, Axis.Y_ON_X)  # subnormal sums of squares
 def test_the_array_core_is_the_python_core_bit_for_bit(columns, weights, axis):
     xs, ys = columns
     ws = None if weights is None else weights[: len(xs)]

@@ -67,13 +67,22 @@ def _points(v):
     return [(v[0], v[1]), (v[2], v[3]), (v[4], v[5])]
 
 
+def _drawn_line(v, axis):
+    return LinearFit(v[0], v[1], axis, 0.5, 0.0, 2)
+
+
 _CALLS = {
     "predict": lambda v: predict(_FIT, v[0]),
     "residuals": lambda v: residuals(_FIT, _points(v)),
     "residuals-x-on-y": lambda v: residuals(_FIT_X_ON_Y, _points(v)),
+    # a line built in code, its slope and intercept drawn too
+    "predict-line": lambda v: predict(_drawn_line(v, Axis.Y_ON_X), v[2]),
+    "residuals-line": lambda v: residuals(_drawn_line(v, Axis.Y_ON_X), _points(v)[1:]),
+    "residuals-line-x-on-y": lambda v: residuals(_drawn_line(v, Axis.X_ON_Y), _points(v)[1:]),
     "sse": lambda v: sse(_FIT, _points(v)),
     "ols_fit": lambda v: ols_fit(_points(v)),
     "ols_fit-x-on-y": lambda v: ols_fit(_points(v), Axis.X_ON_Y),
+    "wls_fit": lambda v: wls_fit([(0.0, v[3]), (1.0, v[4]), (2.0, v[5])], [abs(w) for w in v[:3]]),
     "correlation": lambda v: correlation(_points(v)),
     "model_eval": lambda v: model_eval(_params(v), v[3]),
     "model_sse": lambda v: model_sse(_params(v), _STEP),
@@ -110,6 +119,7 @@ def _numbers_in(result):
 @example(values=[1e308, -1e308, 10.0, 1e308, 0.0, 1.0])  # inf from predict, model_sse, sse_gradient
 @example(values=[20.0, 60.0, 1e-320, 5.0, 10.0, 15.0])  # NaN in the Jacobian; LinAlgError in gauss_newton
 @example(values=[10**400, 21.0, 2.0, 22.0, 3.0, 10.0])  # OverflowError: int too large to convert to float
+@example(values=[1e-170, 1e-170, 1e-170, 0.0, 1.0, 3.0])  # ZeroDivisionError: r's denominator underflows
 def test_results_are_finite_or_a_typed_error(name, values):
     try:
         result = _CALLS[name](values)

@@ -7,6 +7,8 @@ row, for any report whose residual table holds numbers.
 
 import dataclasses
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from thermofit import (
     render_json,
     render_text,
 )
+from thermofit import report as report_module
 
 
 def reference_obj(report):
@@ -152,3 +155,38 @@ def test_a_table_that_is_not_rows_of_four_is_kept_as_given(row):
     assert report.residual_table == table
     with pytest.raises(ValueError if isinstance(row, tuple) else TypeError):
         render_json(report)
+
+
+# --- the writers encode the table a block of rows at a time ---------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_the_properties_hold_across_block_boundaries(rows):
+    # tables of up to 50 rows cross many boundaries of blocks this small
+    with mock.patch.object(report_module, "_BLOCK_ROWS", rows):
+        test_render_json_equals_indented_json_dumps()
+        test_render_text_rows_equal_one_f_string_per_row()
+
+
+@pytest.mark.parametrize("writer", [render_json, render_text])
+def test_a_bad_entry_in_a_later_block_is_refused(writer):
+    table = ((0.0, 1.0, 1.0, 0.0),) * 5 + ((1.0, "1.5", 3.0, 0.0),)
+    with mock.patch.object(report_module, "_BLOCK_ROWS", 2), pytest.raises(TypeError):
+        writer(FitReport("bad", _LINE, FitClass.MODERATE, table))
+
+
+def test_json_blocks_take_a_small_fraction_of_the_output_in_memory():
+    n = 200_000
+    xs = tuple(0.1 * i for i in range(n))
+    ys = tuple(20.0 + 1e-3 * x for x in xs)
+    ps = tuple(y + 1e-9 for y in ys)
+    report = FitReport("big", _LINE, FitClass.GOOD, zip(xs, ys, ps, (-1e-9,) * n))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, report_module._json_blocks(report)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 9 % here; the whole-table writer peaked at over 4 times the output
+    assert size > 20_000_000
+    assert peak < size / 5, (peak, size)
