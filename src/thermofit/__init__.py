@@ -5,8 +5,11 @@ and first-order thermal step-response curves to temperature/time series,
 reports goodness of fit via the correlation coefficient, and predicts
 junction temperatures from thermal-resistance catalogs.
 
-The step-response solvers need numpy, so their five names are looked up in
-``stepfit`` on first use; importing the package does not load numpy.
+The five solver names are looked up on first use: ``gauss_newton``,
+``gradient_descent`` and ``model_sse`` in ``stepsolve``, which loads numpy
+only to fit a series of at least ``stepmodel._ARRAY_MIN`` samples, and
+``jacobian`` and ``sse_gradient``, which return numpy arrays, in
+``stepfit``.  Importing the package does not load numpy.
 """
 
 from .dataset import Sample, Series, Violation, builtin_series, builtin_profiles, parse_csv, to_csv, validate
@@ -86,16 +89,22 @@ __all__ = [
     "wls_fit",
 ]
 
-_SOLVER_NAMES = ("gauss_newton", "gradient_descent", "jacobian", "model_sse", "sse_gradient")
+_SOLVER_MODULES = {
+    "gauss_newton": "stepsolve",
+    "gradient_descent": "stepsolve",
+    "model_sse": "stepsolve",
+    "jacobian": "stepfit",
+    "sse_gradient": "stepfit",
+}
 
 
 def __getattr__(name: str):
-    if name in _SOLVER_NAMES:
-        from . import stepfit
+    if name in _SOLVER_MODULES:
+        from importlib import import_module
 
-        return getattr(stepfit, name)
+        return getattr(import_module(f".{_SOLVER_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted([*globals(), *_SOLVER_NAMES])
+    return sorted([*globals(), *_SOLVER_MODULES])

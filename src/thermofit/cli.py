@@ -54,25 +54,28 @@ def _load_series(args) -> Series:
         return builtin_series(args.builtin)
     if not args.input:
         raise UsageError("an input file or --builtin is required")
+    return parse_csv(_read_text(args.input))
+
+
+def _read_text(path: str) -> str:
+    """The file's text, read with newline="\\n"; MalformedRow naming the file unless it is UTF-8."""
     try:
-        with open(args.input, encoding="utf-8-sig", newline="\n") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
+            return fh.read()
     except UnicodeDecodeError as e:
-        raise MalformedRow(f"{args.input} is not valid UTF-8: {e}")
-    return parse_csv(text)
+        raise MalformedRow(f"{path} is not valid UTF-8: {e}")
 
 
 def _load_weights(path: str) -> list[float]:
     weights = []
-    with open(path, encoding="utf-8-sig", newline="\n") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                weights.append(_number(line))
-            except ValueError:
-                raise MalformedRow(f"{path} line {lineno}: not a number: {line!r}")
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            weights.append(_number(line))
+        except ValueError:
+            raise MalformedRow(f"{path} line {lineno}: not a number: {line!r}")
     return weights
 
 
@@ -119,7 +122,7 @@ def cmd_predict(args) -> int:
             with open(args.report, encoding="utf-8") as fh:
                 obj = json.load(fh)
             slope, intercept = float(obj["slope"]), float(obj["intercept"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise UsageError(f"{args.report} is not a usable fit report: {e}")
     else:
         if args.slope is None or args.intercept is None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .dataset import Series, _require_valid
 from .regression import Axis, FitClass, LinearFit, _fit, _line, _residuals, classify_fit
-from .stepmodel import _GN_MAX_ITER, NlFit, StepModelParams
+from .stepmodel import _ARRAY_MIN, _GN_MAX_ITER, NlFit, StepModelParams
 
 
 @dataclass(frozen=True, init=False)
@@ -81,16 +81,17 @@ def build_report(
 
     With ``weights`` the linear fit is weighted (y-on-x only); with
     ``nonlinear`` a Gauss-Newton step-response fit is attached, which
-    imports numpy on first use.
+    imports numpy for a series of at least ``_ARRAY_MIN`` samples.
     """
     _require_valid(series)
     xs, ys = series.times, series.temps
     # numpy is loaded only where the curve fit loads it anyway
-    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, nonlinear)
-    columns = (xs, ys, tuple(_line(fit, xs, nonlinear)), tuple(_residuals(fit, xs, ys, nonlinear)))
+    arrays = nonlinear and len(xs) >= _ARRAY_MIN
+    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, arrays)
+    columns = (xs, ys, tuple(_line(fit, xs, arrays)), tuple(_residuals(fit, xs, ys, arrays)))
     nl = None
     if nonlinear:
-        from .stepfit import gauss_newton  # deferred: stepfit imports numpy
+        from .stepsolve import gauss_newton  # deferred: only a curve fit needs the solvers
 
         nl = gauss_newton(series, nl_init, max_iter=nl_max_iter)
     return FitReport(series.label, fit, classify_fit(fit.r), nonlinear=nl, _columns=columns)

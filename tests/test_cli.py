@@ -15,6 +15,7 @@ import thermofit
 from thermofit import Axis, Series, build_report, builtin_series, parse_csv, render_json, render_text, to_csv
 from thermofit.cli import main
 from thermofit.report import _BLOCK_ROWS
+from thermofit.stepmodel import _ARRAY_MIN
 
 
 def run(capsys, *argv):
@@ -139,6 +140,14 @@ def test_fit_input_files_follow_the_csv_grammar(capsys, tmp_path, csv_text, weig
     assert got[2].startswith(err.format(w=wfile)) and bool(got[2]) == bool(err)
 
 
+def test_fit_weights_that_are_not_utf8_are_a_malformed_row(capsys, tmp_path):
+    wfile = tmp_path / "w.bin"
+    wfile.write_bytes(b"1\n\xff\xfe\n1\n")
+    code, out, err = run(capsys, "fit", "--builtin", "full", "--weights", str(wfile))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"E_MALFORMED_ROW: {wfile} is not valid UTF-8: ")
+
+
 def test_fit_weights_length_mismatch(capsys, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("time_s,temperature_c\n0,0\n1,1\n2,5\n", encoding="utf-8")
@@ -261,6 +270,16 @@ def test_predict_malformed_report(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "--report", str(bad), "-x", "1")
     assert code == 1
     assert err.startswith("E_USAGE:")
+
+
+@pytest.mark.parametrize("key", ["slope", "intercept"])
+def test_predict_report_with_an_int_too_large_for_a_float(capsys, tmp_path, key):
+    obj = {"slope": 1, "intercept": 0, key: 10**400}
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "predict", "--report", str(report), "-x", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"E_USAGE: {report} is not a usable fit report: ")
 
 
 @pytest.mark.parametrize(
@@ -423,12 +442,17 @@ print("numpy" in sys.modules, code)
             id="thermal-select",
         ),
         pytest.param(("plot", "--builtin", "full", "-o", "paper.svg"), False, id="plot"),
-        pytest.param(("fit", "--builtin", "full", "--nonlinear"), True, id="fit-nonlinear"),
-        pytest.param(("plot", "--builtin", "full", "--nonlinear", "-o", "paper.svg"), True, id="plot-nonlinear"),
+        # below _ARRAY_MIN samples the step-response fit runs on Python lists
+        pytest.param(("fit", "--builtin", "full", "--nonlinear"), False, id="fit-nonlinear"),
+        pytest.param(("plot", "--builtin", "full", "--nonlinear", "-o", "paper.svg"), False, id="plot-nonlinear"),
+        pytest.param(("fit", "big.csv", "--nonlinear"), True, id="fit-nonlinear-big-csv"),
     ],
 )
 def test_numpy_is_loaded_only_to_fit_a_curve(tmp_path, argv, numpy_loaded):
     (tmp_path / "small.csv").write_text(to_csv(builtin_series("full")))
+    n = 2 * _ARRAY_MIN
+    big = Series("big", [(float(t), 60.0 - 40.0 * math.exp(-t / (n / 3)) + 0.3 * math.sin(t)) for t in range(n)])
+    (tmp_path / "big.csv").write_text(to_csv(big))
     src = str(Path(thermofit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = _RUN_AS_THERMOFIT if argv else "import sys, thermofit.cli; print('numpy' in sys.modules, 0)"

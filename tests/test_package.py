@@ -56,3 +56,19 @@ def test_numpy_loads_on_first_use_of_a_solver_name():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_a_short_series_is_fitted_without_numpy():
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    code = (
+        "import sys, thermofit\n"
+        "series = thermofit.builtin_series('full')\n"
+        "thermofit.gauss_newton(series)\n"
+        "thermofit.gradient_descent(series, max_iter=10)\n"
+        "thermofit.model_sse(thermofit.default_init(series), series)\n"
+        "thermofit.build_report(series, nonlinear=True)\n"
+        "print('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]

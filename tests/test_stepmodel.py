@@ -1,9 +1,11 @@
 import math
 import random
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermofit import (
     JacobianMode,
@@ -29,6 +31,10 @@ from thermofit.errors import (
     OutOfRange,
     SingularNormalMatrix,
 )
+from thermofit import stepsolve
+from thermofit.stepfit import _ArraySums
+from thermofit.stepmodel import _ARRAY_MIN
+from thermofit.stepsolve import _ListSums
 from thermofit.svgplot import render_plot
 
 from conftest import synth_series
@@ -389,3 +395,82 @@ def test_stop_rule_table(solver, series, init, options, iterations, converged, s
         assert decrease(iterations) < tol
         if iterations > span:
             assert decrease(iterations - 1) >= tol
+
+
+# --- the two kernels of per-sample sums: Python lists and numpy arrays ------------------
+
+
+@st.composite
+def identifiable_steps(draw):
+    """A noisy step response on the scale of C5's suite, whose three
+    parameters the data determine: the span covers 2 to 10 time constants and
+    the noise is 0.05 to 0.5 degC.  Sizes lie on both sides of ``_ARRAY_MIN``."""
+    n = draw(st.sampled_from([13, 40, 200, _ARRAY_MIN - 1, _ARRAY_MIN, 2 * _ARRAY_MIN + 1]))
+    t0, tinf, tau = draw(st.floats(10.0, 30.0)), draw(st.floats(40.0, 90.0)), draw(st.floats(5.0, 30.0))
+    dt = tau * draw(st.floats(2.0, 10.0)) / (n - 1)
+    noise = draw(st.floats(0.05, 0.5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    times = [i * dt for i in range(n)]
+    temps = [tinf + (t0 - tinf) * math.exp(-t / tau) + rng.gauss(0.0, noise) for t in times]
+    return Series("step", tuple(zip(times, temps)))
+
+
+def _fit_with(kernel, series):
+    """gauss_newton with the kernel forced, or the SingularNormalMatrix it raises."""
+    with mock.patch.object(stepsolve, "_sums", kernel):
+        try:
+            return gauss_newton(series)
+        except SingularNormalMatrix as e:
+            return e
+
+
+@settings(max_examples=40)
+@given(series=identifiable_steps())
+def test_the_list_and_array_kernels_fit_alike(series):
+    lists, arrays = _fit_with(_ListSums, series), _fit_with(_ArraySums, series)
+    if isinstance(lists, SingularNormalMatrix) or isinstance(arrays, SingularNormalMatrix):
+        assert type(lists) is type(arrays)
+        return
+    assert lists.converged == arrays.converged
+    assert lists.sse == pytest.approx(arrays.sse, rel=1e-9)
+    for a, b in zip(lists.params.as_array(), arrays.params.as_array()):
+        assert a == pytest.approx(b, abs=1e-6)
+
+
+@given(series=identifiable_steps(), scale=st.tuples(*[st.floats(0.5, 2.0)] * 3), frozen=st.booleans())
+def test_the_list_and_array_kernels_sum_alike(series, scale, frozen):
+    # at parameters near the truth, every sum agrees to rounding
+    theta = tuple(p * k for p, k in zip(default_init(series).as_array().tolist(), scale))
+    lists, arrays = _ListSums(series), _ArraySums(series)
+    active = (0, 1) if frozen else (0, 1, 2)
+    assert lists.sse(theta) == pytest.approx(arrays.sse(theta), rel=1e-11)
+    (ljj, ljr), (ajj, ajr) = lists.normal(theta, active), arrays.normal(theta, active)
+    jtr = lists.jtr(theta)
+    for i in range(len(active)):
+        size = math.sqrt(ajj[i][i] * lists.sse(theta))  # |J'r_i| <= |J_i| |r|
+        assert ljr[i] == pytest.approx(ajr[i], abs=1e-11 * size)
+        assert jtr[active[i]] == ljr[i]
+        for j in range(len(active)):
+            assert ljj[i][j] == pytest.approx(ajj[i][j], abs=1e-11 * math.sqrt(ajj[i][i] * ajj[j][j]))
+
+
+@pytest.mark.parametrize(
+    "temps",
+    [
+        (29.0, 49.9, 59.9, 65.8, 69.9, 70.85, 71.75, 72.15, 73.2, 73.3, 72.4, 72.75, 72.5),
+        (20.25, 29.35, 35.1, 39.95, 43.1, 45.75, 47.95, 48.4, 49.3, 50.65, 50.4, 50.7, 51.65),
+    ],
+)
+@pytest.mark.parametrize("kernel", [_ListSums, _ArraySums])
+def test_a_fit_that_stops_at_the_rounding_of_its_sse_is_converged(temps, kernel):
+    # Gauss-Newton reaches an accepted step that lowers the SSE by just over tol;
+    # any step after it changes the SSE by less than its rounding, so no damped
+    # step improves.  That is the minimum, not a failure.
+    fit = _fit_with(kernel, Series("floor", tuple(zip([5.0 * k for k in range(13)], temps))))
+    assert fit.converged
+
+
+@pytest.mark.parametrize("n,kernel", [(_ARRAY_MIN - 1, _ListSums), (_ARRAY_MIN, _ArraySums)])
+def test_the_kernel_is_chosen_by_the_series_size(n, kernel):
+    series = synth_series(20, 60, n / 3, times=[float(t) for t in range(n)])
+    assert type(stepsolve._sums(series)) is kernel
