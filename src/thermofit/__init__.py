@@ -5,106 +5,77 @@ and first-order thermal step-response curves to temperature/time series,
 reports goodness of fit via the correlation coefficient, and predicts
 junction temperatures from thermal-resistance catalogs.
 
-The five solver names are looked up on first use: ``gauss_newton``,
-``gradient_descent`` and ``model_sse`` in ``stepsolve``, which loads numpy
-only to fit a series of at least ``stepmodel._ARRAY_MIN`` samples, and
-``jacobian`` and ``sse_gradient``, which return numpy arrays, in
-``stepfit``.  Importing the package does not load numpy.
+Importing the package loads none of its modules: each public name is looked
+up in the module that defines it on first use, and numpy is loaded only by
+``jacobian`` and ``sse_gradient``, which return numpy arrays, and by a
+step-response fit of at least ``errors._ARRAY_MIN`` samples.
 """
-
-from .dataset import Sample, Series, Violation, builtin_series, builtin_profiles, parse_csv, to_csv, validate
-from .regression import (
-    Axis,
-    FitClass,
-    LinearFit,
-    SummaryStats,
-    classify_fit,
-    correlation,
-    ols_fit,
-    predict,
-    residuals,
-    sse,
-    summarize,
-    wls_fit,
-)
-from .report import FitReport, build_report, render_json, render_text
-from .stepmodel import JacobianMode, NlFit, StepModelParams, default_init, model_eval
-from .thermal import (
-    PENTIUM_D_915,
-    HeatSinkEntry,
-    PackageEntry,
-    ProcessorSpec,
-    builtin_heatsinks,
-    builtin_packages,
-    junction_temperature,
-    max_power,
-    select_heatsink,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "FitClass",
-    "FitReport",
-    "HeatSinkEntry",
-    "JacobianMode",
-    "LinearFit",
-    "NlFit",
-    "PENTIUM_D_915",
-    "PackageEntry",
-    "ProcessorSpec",
-    "Sample",
-    "Series",
-    "StepModelParams",
-    "SummaryStats",
-    "Violation",
-    "build_report",
-    "builtin_heatsinks",
-    "builtin_packages",
-    "builtin_series",
-    "builtin_profiles",
-    "classify_fit",
-    "correlation",
-    "default_init",
-    "gauss_newton",
-    "gradient_descent",
-    "jacobian",
-    "junction_temperature",
-    "max_power",
-    "model_eval",
-    "model_sse",
-    "ols_fit",
-    "parse_csv",
-    "predict",
-    "render_json",
-    "render_text",
-    "residuals",
-    "select_heatsink",
-    "sse",
-    "sse_gradient",
-    "summarize",
-    "to_csv",
-    "validate",
-    "wls_fit",
-]
-
-_SOLVER_MODULES = {
+# Each public name, in __all__'s order, and the module that defines it.  A name
+# is imported on first use and then kept in the package's namespace.
+_HOME = {
+    "Axis": "regression",
+    "FitClass": "regression",
+    "FitReport": "report",
+    "HeatSinkEntry": "thermal",
+    "JacobianMode": "stepmodel",
+    "LinearFit": "regression",
+    "NlFit": "stepmodel",
+    "PENTIUM_D_915": "thermal",
+    "PackageEntry": "thermal",
+    "ProcessorSpec": "thermal",
+    "Sample": "dataset",
+    "Series": "dataset",
+    "StepModelParams": "stepmodel",
+    "SummaryStats": "regression",
+    "Violation": "dataset",
+    "build_report": "report",
+    "builtin_heatsinks": "thermal",
+    "builtin_packages": "thermal",
+    "builtin_series": "dataset",
+    "builtin_profiles": "dataset",
+    "classify_fit": "regression",
+    "correlation": "regression",
+    "default_init": "stepmodel",
     "gauss_newton": "stepsolve",
     "gradient_descent": "stepsolve",
-    "model_sse": "stepsolve",
     "jacobian": "stepfit",
+    "junction_temperature": "thermal",
+    "max_power": "thermal",
+    "model_eval": "stepmodel",
+    "model_sse": "stepsolve",
+    "ols_fit": "regression",
+    "parse_csv": "dataset",
+    "predict": "regression",
+    "render_json": "report",
+    "render_text": "report",
+    "residuals": "regression",
+    "select_heatsink": "thermal",
+    "sse": "regression",
     "sse_gradient": "stepfit",
+    "summarize": "regression",
+    "to_csv": "dataset",
+    "validate": "dataset",
+    "wls_fit": "regression",
 }
+__all__ = list(_HOME)
+
+# The modules that ``thermofit.<module>`` reaches without an import statement of its own.
+_SUBMODULES = ("dataset", "errors", "regression", "report", "stepmodel", "thermal")
 
 
 def __getattr__(name: str):
-    if name in _SOLVER_MODULES:
-        from importlib import import_module
+    from importlib import import_module
 
-        return getattr(import_module(f".{_SOLVER_MODULES[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it in the package
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted([*globals(), *_SOLVER_MODULES])
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

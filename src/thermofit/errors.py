@@ -1,12 +1,21 @@
-"""Exception hierarchy shared by all thermofit modules.
+"""Exception hierarchy and limits shared by all thermofit modules.
 
 Every error carries a stable machine-greppable ``code`` (``E_*``) which the
-CLI prints as a one-line prefix before exiting nonzero.
+CLI prints as a one-line prefix before exiting nonzero.  The limits live
+here, in the one module every other imports, so that the CLI can build its
+parser without loading the modules that use them.
 """
 
 from __future__ import annotations
 
 _DOUBLE_MAX = 1.7976931348623157e308  # sys.float_info.max; x is finite when abs(x) <= it
+_GN_MAX_ITER = 100  # Gauss-Newton iteration cap: the solver's, build_report's and the CLI's default
+# From this many samples the step-response solvers' sums, and build_report's
+# line fit, run on numpy arrays; below it on Python lists, and numpy is not
+# imported.  With numpy loaded, arrays are as fast as lists at 13 samples and
+# 9 times faster at 1024; loading numpy costs as much as a list fit of about
+# 40 000 samples (README, "Numerical notes").
+_ARRAY_MIN = 1024
 
 
 class ThermofitError(Exception):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
+from .errors import _ARRAY_MIN, _GN_MAX_ITER
 from .regression import Axis, FitClass, LinearFit, _fit, _line, _residuals, classify_fit
-from .stepmodel import _ARRAY_MIN, _GN_MAX_ITER, NlFit, StepModelParams
+
+if TYPE_CHECKING:  # the step model is loaded only by a curve fit
+    from .stepmodel import NlFit, StepModelParams
 
 
 @dataclass(frozen=True, init=False)
@@ -127,6 +130,8 @@ _JSON_SLOT = '\n  "residuals": []'
 
 def _json_values(column) -> list[str]:
     """Each value of ``column`` as json writes it, by json's C encoder in one call."""
+    import json
+
     text = json.dumps(column)[1:-1]  # no indent: json's C encoder
     if '"' in text or "[" in text or "{" in text:
         raise TypeError("residual_table entries must be numbers")
@@ -147,6 +152,8 @@ def render_json(report: FitReport) -> str:
 
 def _json_blocks(report: FitReport):
     """``render_json``'s text in pieces: the head, the rows of each block, the tail."""
+    import json  # deferred, as in _json_values: only the JSON writer needs it
+
     obj: dict = {
         "label": report.series_label,
         "n": report.linear.n,

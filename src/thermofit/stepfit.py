@@ -4,7 +4,7 @@ This module holds everything of the step model that needs numpy: the model
 and its Jacobian over arrays of times, the public ``jacobian`` and
 ``sse_gradient``, which return arrays, and ``_ArraySums``, the kernel that
 gives ``stepsolve``'s solvers their per-sample sums on a series of at least
-``stepmodel._ARRAY_MIN`` samples.  The solvers themselves and ``model_sse``
+``errors._ARRAY_MIN`` samples.  The solvers themselves and ``model_sse``
 live in ``stepsolve``, which imports no numpy; they are exported here too.
 numpy's floating-point warnings are silenced here: every public function
 checks that its result is finite, and the solvers check what they use.
@@ -25,19 +25,22 @@ def _curve(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     return tinf + (t0 - tinf) * np.exp(-times / tau)
 
 
-def _jac(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _jac_columns(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three columns of the Jacobian, dT/dT_0, dT/dT_inf and dT/dtau."""
     decay = np.exp(-times / theta[2])
     d_tau = (theta[0] - theta[1]) * (times / theta[2] ** 2) * decay
-    return np.column_stack([decay, 1.0 - decay, d_tau])
+    return decay, 1.0 - decay, d_tau
 
 
-def _jtr(theta: np.ndarray, times: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """J'r with r = observed - model."""
-    return _jac(theta, times).T @ (ys - _curve(theta, times))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of the products a[i] * b[i], by numpy's pairwise summation.
+    Not ``a @ b``: BLAS splits that sum between its threads, so its last
+    digits depend on how many it runs."""
+    return float(np.add.reduce(a * b))
 
 
 class _ArraySums:
-    """``stepsolve``'s kernel of per-sample sums on float64 arrays, summed by numpy/BLAS."""
+    """``stepsolve``'s kernel of per-sample sums on float64 arrays, summed by numpy."""
 
     def __init__(self, series: Series):
         self.times = np.array(series.times, dtype=float)
@@ -46,18 +49,22 @@ class _ArraySums:
     @np.errstate(all="ignore")
     def sse(self, theta) -> float:
         r = self.ys - _curve(np.array(theta), self.times)
-        return float(r @ r)
+        return _dot(r, r)
 
     @np.errstate(all="ignore")
     def jtr(self, theta) -> tuple[float, ...]:
-        return tuple(_jtr(np.array(theta), self.times, self.ys).tolist())
+        """J'r with r = observed - model."""
+        theta = np.array(theta)
+        r = self.ys - _curve(theta, self.times)
+        return tuple(_dot(c, r) for c in _jac_columns(theta, self.times))
 
     @np.errstate(all="ignore")
     def normal(self, theta, active):
         theta = np.array(theta)
-        J = _jac(theta, self.times)[:, list(active)]
+        columns = _jac_columns(theta, self.times)
+        columns = [columns[j] for j in active]
         r = self.ys - _curve(theta, self.times)
-        return (J.T @ J).tolist(), (J.T @ r).tolist()
+        return [[_dot(ci, cj) for cj in columns] for ci in columns], [_dot(c, r) for c in columns]
 
 
 @np.errstate(all="ignore")
@@ -75,7 +82,7 @@ def jacobian(
     theta = np.array(_theta(params))
     t = np.asarray(_require_finite(times, "time"), dtype=float)
     if mode is JacobianMode.ANALYTIC:
-        out = _jac(theta, t)
+        out = np.column_stack(_jac_columns(theta, t))
     else:
         out = np.empty((t.size, 3))
         h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
@@ -93,5 +100,4 @@ def jacobian(
 def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     """Gradient of the SSE objective: -2 * J' r with r = observed - model."""
     _require_valid(series)
-    sums = _ArraySums(series)
-    return _require_finite(-2.0 * _jtr(np.array(_theta(params)), sums.times, sums.ys), "SSE gradient entry")
+    return _require_finite(-2.0 * np.array(_ArraySums(series).jtr(_theta(params))), "SSE gradient entry")

@@ -10,7 +10,7 @@ the parameter and result types, the one parameter check, the model itself
 (``model_eval``, which refuses a time at which the model is not finite) and
 the solvers' starting guess.  It imports no numpy.  The least-squares
 solvers and the SSE live in ``stepsolve``, which imports numpy only to fit a
-series of at least ``_ARRAY_MIN`` samples; the Jacobian and the SSE
+series of at least ``errors._ARRAY_MIN`` samples; the Jacobian and the SSE
 gradient, which return arrays, live in ``stepfit``, which imports it.
 """
 
@@ -27,14 +27,6 @@ from .errors import _DOUBLE_MAX, InvalidInit, OutOfRange, _require_finite, _show
 
 if TYPE_CHECKING:
     import numpy as np
-
-_GN_MAX_ITER = 100  # Gauss-Newton iteration cap: the solver's, build_report's and the CLI's default
-# From this many samples the solvers' sums, and build_report's line fit, run
-# on numpy arrays; below it on Python lists, and numpy is not imported.  With
-# numpy loaded, arrays are as fast as lists at 13 samples and 9 times faster
-# at 1024; loading numpy costs as much as a list fit of about 40 000 samples
-# (README, "Numerical notes").
-_ARRAY_MIN = 1024
 
 
 @dataclass(frozen=True)

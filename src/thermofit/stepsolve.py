@@ -13,8 +13,8 @@ decrease over the last ``span`` iterations falls below ``tol`` (``span`` is 1
 for Gauss-Newton, ``window`` for steepest descent).  The parameters are a
 tuple of three floats; only the per-sample sums (the SSE, J'J and J'r) come
 from a kernel chosen by the series' size: exact ``math.fsum`` sums over
-Python lists below ``_ARRAY_MIN`` samples, numpy/BLAS sums over arrays from
-it (``stepfit._ArraySums``).  So a fit of a short series never loads numpy.
+Python lists below ``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays
+from it (``stepfit._ArraySums``).  So a fit of a short series never loads numpy.
 Every function here refuses an invalid series (checked once per Series
 object) or parameters, the solvers refuse out-of-range options, and a result
 that is not finite raises OutOfRange.
@@ -28,17 +28,17 @@ import sys
 from itertools import chain
 
 from .dataset import Series, _require_valid
-from .errors import _DOUBLE_MAX, InsufficientData, OutOfRange, SingularNormalMatrix, _require_finite, _shown
-from .stepmodel import (
+from .errors import (
     _ARRAY_MIN,
+    _DOUBLE_MAX,
     _GN_MAX_ITER,
-    NlFit,
-    StepModelParams,
-    _checked,
-    _require_count,
-    _valid,
-    default_init,
+    InsufficientData,
+    OutOfRange,
+    SingularNormalMatrix,
+    _require_finite,
+    _shown,
 )
+from .stepmodel import NlFit, StepModelParams, _checked, _require_count, _valid, default_init
 
 _MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,9 +15,9 @@ from hypothesis import given, strategies as st
 
 import thermofit
 from thermofit import Axis, Series, build_report, builtin_series, parse_csv, render_json, render_text, to_csv
-from thermofit.cli import main
+from thermofit.cli import build_parser, main
+from thermofit.errors import _ARRAY_MIN
 from thermofit.report import _BLOCK_ROWS
-from thermofit.stepmodel import _ARRAY_MIN
 
 
 def run(capsys, *argv):
@@ -423,40 +425,131 @@ try:
     runpy.run_module("thermofit", run_name="__main__", alter_sys=True)
 except SystemExit as e:
     code = e.code
-print("numpy" in sys.modules, code)
+print("numpy" in sys.modules, code, *sorted(m for m in sys.modules if m.startswith("thermofit.")))
 """
 
+_LINE = "thermofit.cli thermofit.dataset thermofit.errors thermofit.regression thermofit.report"
+_CURVE = "thermofit.stepmodel thermofit.stepsolve"
 
+
+# Each command loads numpy only to fit a curve of at least _ARRAY_MIN samples,
+# and of thermofit only the modules it uses.
 @pytest.mark.parametrize(
-    "argv,numpy_loaded",
+    "argv,numpy_loaded,modules",
     [
-        pytest.param((), False, id="import"),
-        pytest.param(("fit", "--builtin", "full", "--json"), False, id="fit-json"),
-        pytest.param(("fit", "small.csv"), False, id="fit-csv"),
-        pytest.param(("fit", "--builtin", "full"), False, id="fit-text"),
-        pytest.param(("correlate", "--builtin", "idle"), False, id="correlate"),
-        pytest.param(("predict", "-m", "0.7288", "-b", "17.504", "-x", "60"), False, id="predict"),
+        pytest.param((), False, "thermofit.cli thermofit.errors", id="import"),
+        pytest.param(("fit", "--builtin", "full", "--json"), False, _LINE, id="fit-json"),
+        pytest.param(("fit", "small.csv"), False, _LINE, id="fit-csv"),
+        pytest.param(("fit", "--builtin", "full"), False, _LINE, id="fit-text"),
+        pytest.param(
+            ("correlate", "--builtin", "idle"),
+            False,
+            "thermofit.cli thermofit.dataset thermofit.errors thermofit.regression",
+            id="correlate",
+        ),
+        pytest.param(
+            ("predict", "-m", "0.7288", "-b", "17.504", "-x", "60"), False, "thermofit.cli thermofit.errors", id="predict"
+        ),
         pytest.param(
             ("thermal", "select", "-p", "0.5", "--t-j-max", "63.4", "-a", "20.2", "--theta-jc", "3"),
             False,
+            "thermofit.cli thermofit.errors thermofit.thermal",
             id="thermal-select",
         ),
-        pytest.param(("plot", "--builtin", "full", "-o", "paper.svg"), False, id="plot"),
+        pytest.param(
+            ("thermal", "packages"), False, "thermofit.cli thermofit.errors thermofit.thermal", id="thermal-packages"
+        ),
+        pytest.param(
+            ("plot", "--builtin", "full", "-o", "paper.svg"),
+            False,
+            f"{_LINE} thermofit.stepmodel thermofit.svgplot",
+            id="plot",
+        ),
         # below _ARRAY_MIN samples the step-response fit runs on Python lists
-        pytest.param(("fit", "--builtin", "full", "--nonlinear"), False, id="fit-nonlinear"),
-        pytest.param(("plot", "--builtin", "full", "--nonlinear", "-o", "paper.svg"), False, id="plot-nonlinear"),
-        pytest.param(("fit", "big.csv", "--nonlinear"), True, id="fit-nonlinear-big-csv"),
+        pytest.param(("fit", "--builtin", "full", "--nonlinear"), False, f"{_LINE} {_CURVE}", id="fit-nonlinear"),
+        pytest.param(
+            ("plot", "--builtin", "full", "--nonlinear", "-o", "paper.svg"),
+            False,
+            f"{_LINE} {_CURVE} thermofit.svgplot",
+            id="plot-nonlinear",
+        ),
+        pytest.param(
+            ("fit", "big.csv", "--nonlinear"), True, f"{_LINE} thermofit.stepfit {_CURVE}", id="fit-nonlinear-big-csv"
+        ),
     ],
 )
-def test_numpy_is_loaded_only_to_fit_a_curve(tmp_path, argv, numpy_loaded):
+def test_numpy_is_loaded_only_to_fit_a_curve(tmp_path, argv, numpy_loaded, modules):
     (tmp_path / "small.csv").write_text(to_csv(builtin_series("full")))
     n = 2 * _ARRAY_MIN
     big = Series("big", [(float(t), 60.0 - 40.0 * math.exp(-t / (n / 3)) + 0.3 * math.sin(t)) for t in range(n)])
     (tmp_path / "big.csv").write_text(to_csv(big))
     src = str(Path(thermofit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = _RUN_AS_THERMOFIT if argv else "import sys, thermofit.cli; print('numpy' in sys.modules, 0)"
+    code = _RUN_AS_THERMOFIT if argv else (
+        "import sys, thermofit.cli; "
+        "print('numpy' in sys.modules, 0, *sorted(m for m in sys.modules if m.startswith('thermofit.')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.splitlines()[-1] == f"{numpy_loaded} 0"
+    assert proc.stdout.splitlines()[-1].split() == [str(numpy_loaded), "0", *sorted(modules.split())]
+
+
+_PACKAGE_NAMESPACE = """
+import sys, thermofit
+print(*sorted(m for m in sys.modules if m.startswith("thermofit.")))
+print(*[name for name in dir(thermofit) if not name.startswith("_")])
+print(thermofit.errors.OutOfRange.code, thermofit.ols_fit.__module__, "ols_fit" in vars(thermofit))
+"""
+
+
+def test_importing_the_package_loads_no_submodule():
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_NAMESPACE], env=env, capture_output=True, text=True, check=True)
+    loaded, public, resolved = proc.stdout.split("\n")[:3]
+    assert loaded == ""
+    # dir lists every public name, and the modules that are attributes of the package
+    modules = ["dataset", "errors", "regression", "report", "stepmodel", "thermal"]
+    assert public.split() == sorted([*thermofit.__all__, *modules])
+    # a submodule and a public name load on first use; the name is then kept in the namespace
+    assert resolved.split() == ["E_OUT_OF_RANGE", "thermofit.regression", "True"]
+
+
+def _subparsers(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option(parser, flag):
+    return next(a for a in parser._actions if flag in a.option_strings)
+
+
+def test_the_parser_constants_are_their_owners_values():
+    from thermofit import dataset, gauss_newton
+
+    commands = _subparsers(build_parser())
+    max_iter = inspect.signature(gauss_newton).parameters["max_iter"].default
+    assert max_iter == inspect.signature(build_report).parameters["nl_max_iter"].default
+    for name in ("fit", "correlate", "plot"):
+        assert tuple(_option(commands[name], "--builtin").choices) == dataset.BUILTIN_NAMES
+    assert list(_option(commands["fit"], "--axis").choices) == [a.value for a in Axis]
+    assert _option(commands["fit"], "--axis").default == Axis.Y_ON_X.value
+    for name in ("fit", "plot"):
+        assert _option(commands[name], "--max-iter").default == max_iter
+
+
+def _help_texts():
+    """(argv, text) for each ``--help`` pinned in cli_help.txt."""
+    text = (Path(__file__).parent / "cli_help.txt").read_text()
+    for section in text.split("$ thermofit ")[1:]:
+        command, _, body = section.partition("\n")
+        yield pytest.param(command.split(), body, id=command)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse lays out help differently from Python 3.13")
+@pytest.mark.parametrize("argv,text", list(_help_texts()))
+def test_help_text_is_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, text)

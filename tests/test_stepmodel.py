@@ -1,12 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thermofit
 from thermofit import (
     JacobianMode,
     Sample,
@@ -33,7 +38,7 @@ from thermofit.errors import (
 )
 from thermofit import stepsolve
 from thermofit.stepfit import _ArraySums
-from thermofit.stepmodel import _ARRAY_MIN
+from thermofit.errors import _ARRAY_MIN
 from thermofit.stepsolve import _ListSums
 from thermofit.svgplot import render_plot
 
@@ -474,3 +479,27 @@ def test_a_fit_that_stops_at_the_rounding_of_its_sse_is_converged(temps, kernel)
 def test_the_kernel_is_chosen_by_the_series_size(n, kernel):
     series = synth_series(20, 60, n / 3, times=[float(t) for t in range(n)])
     assert type(stepsolve._sums(series)) is kernel
+
+
+_REPORT_BYTES = """
+import math, sys
+from thermofit import Series, build_report, render_json
+n = 20000
+series = Series("big", [(float(t), 60.0 - 40.0 * math.exp(-t / (n / 3)) + 0.3 * math.sin(t)) for t in range(n)])
+sys.stdout.write(render_json(build_report(series, nonlinear=True)))
+"""
+
+
+def test_the_array_kernel_writes_the_same_report_under_any_blas_thread_count():
+    # 20 000 samples: above _ARRAY_MIN, and long enough for OpenBLAS to split a dot product
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", _REPORT_BYTES],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert out[0] == out[1]
