@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 from .errors import (
     _DOUBLE_MAX,
@@ -90,12 +93,6 @@ def _columns(points) -> tuple[list, list]:
     return xs, ys
 
 
-def _floats(xs, ys) -> tuple[list[float], list[float]]:
-    """Both columns as floats; OutOfRange at the first coordinate that is not finite."""
-    _require_finite(chain(xs, ys), "non-finite coordinate")
-    return list(map(float, xs)), list(map(float, ys))
-
-
 def _fsum(terms) -> float:
     """Exact sum; raises OutOfRange unless it is finite.
 
@@ -109,6 +106,77 @@ def _fsum(terms) -> float:
     return _require_finite((total,), "a sum is outside the double range")[0]
 
 
+# --- the exact core, over list or array columns ---------------------------------
+#
+# The line fit is written once, over the element-wise steps of a backend: Python
+# lists of floats, or numpy float64 arrays.  Each backend forms every product,
+# quotient and square with the same IEEE-754 operation in the same order (squares
+# go through the C library's pow, which Python's ** and np.float_power both
+# call), and each sum is _fsum's exact sum of the same values, so both give the
+# same result bit for bit, and the same error from the same check.
+#
+# On lists, a step that a sum consumes is a lazy map, so that an OverflowError
+# of Python's ** surfaces inside _fsum, as OutOfRange; a centered column, which
+# the fit reads several times, is a list.
+_LISTS = SimpleNamespace(
+    quiet=nullcontext,
+    sum=_fsum,
+    same=lambda a: min(a) == max(a),
+    mul=lambda a, b: map(operator.mul, a, b),
+    div=lambda a, s: map(operator.truediv, a, repeat(s)),
+    square=lambda a: map(pow, a, repeat(2.0)),
+    minus=lambda a, c: [v - c for v in a],
+    absmax=lambda a: max(map(abs, a)),
+    off_line=lambda us, vs, m, b: map(lambda u, v: v - (m * u + b), us, vs),
+)
+
+
+def _arrays(np) -> SimpleNamespace:
+    """The steps on numpy float64 arrays: the extremes are numpy's, the sums
+    _fsum's, and a value out of range is left for _fsum to refuse."""
+    return SimpleNamespace(
+        quiet=lambda: np.errstate(all="ignore"),
+        sum=lambda a: _fsum(a.tolist()),
+        same=lambda a: a.min() == a.max(),
+        mul=operator.mul,
+        div=operator.truediv,
+        square=lambda a: np.float_power(a, 2.0),
+        minus=operator.sub,
+        absmax=lambda a: float(np.abs(a).max()),
+        off_line=lambda us, vs, m, b: vs - (m * us + b),
+    )
+
+
+def _vector(np, values):
+    """``values`` as a float64 array, or None unless numpy reads them as floats
+    or ints, which it converts as float() does, and every one is finite."""
+    try:
+        a = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 1 or a.dtype.kind not in "fi":
+        return None
+    a = a.astype(float)
+    return a if np.isfinite(a).all() else None
+
+
+def _backend(xs, ys, weights=None, arrays: bool = False):
+    """The steps to compute on and the columns x, y and w in their form: numpy
+    arrays with ``arrays`` where numpy reads every column as finite floats or
+    ints, else lists of floats, OutOfRange at the first coordinate that is not
+    finite.  No weights are weights of 1.0; given weights must be checked."""
+    if arrays:
+        import numpy as np  # deferred: only a fit on arrays needs numpy
+
+        x, y = _vector(np, xs), _vector(np, ys)
+        w = np.ones(len(xs)) if weights is None else _vector(np, weights)
+        if x is not None and y is not None and w is not None:
+            return _arrays(np), x, y, w
+    _require_finite(chain(xs, ys), "non-finite coordinate")
+    ws = [1.0] * len(xs) if weights is None else list(map(float, weights))
+    return _LISTS, list(map(float, xs)), list(map(float, ys)), ws
+
+
 def summarize(points: list[Point]) -> SummaryStats:
     """Accumulate the five least-squares sums over the points.
 
@@ -116,25 +184,25 @@ def summarize(points: list[Point]) -> SummaryStats:
     under permutation of the input.  The points are read once, so an
     iterator gives the same sums as a list.
     """
-    xs, ys = _floats(*_columns(points))
+    on, xs, ys, _ = _backend(*_columns(points))
     if not xs:
         raise EmptyInput("summarize requires at least one point")
     return SummaryStats(
         n=len(xs),
-        sum_x=_fsum(xs),
-        sum_y=_fsum(ys),
-        sum_xy=_fsum(x * y for x, y in zip(xs, ys)),
-        sum_x2=_fsum(x * x for x in xs),
-        sum_y2=_fsum(y * y for y in ys),
+        sum_x=on.sum(xs),
+        sum_y=on.sum(ys),
+        sum_xy=on.sum(on.mul(xs, ys)),
+        sum_x2=on.sum(on.mul(xs, xs)),
+        sum_y2=on.sum(on.mul(ys, ys)),
     )
 
 
-def _pearson_from_devs(dx, dy, ws, sx, sy) -> float:
+def _pearson_from_devs(on, dx, dy, ws, sx, sy) -> float:
     """Correlation from centered deviations, divided by their largest sizes sx
     and sy so that squaring can neither overflow nor underflow; clamped to [-1, 1]."""
-    nxx = _fsum(w * (a / sx) ** 2 for w, a in zip(ws, dx))
-    nyy = _fsum(w * (b / sy) ** 2 for w, b in zip(ws, dy))
-    nxy = _fsum(w * (a / sx) * (b / sy) for w, a, b in zip(ws, dx, dy))
+    nxx = on.sum(on.mul(ws, on.square(on.div(dx, sx))))
+    nyy = on.sum(on.mul(ws, on.square(on.div(dy, sy))))
+    nxy = on.sum(on.mul(on.mul(ws, on.div(dx, sx)), on.div(dy, sy)))
     return _clamped_r(nxx, nyy, nxy)
 
 
@@ -151,173 +219,71 @@ def _clamped_r(nxx, nyy, nxy) -> float:
     return max(-1.0, min(1.0, nxy / root))
 
 
-def _centered(xs, ys, ws, axis: Axis | None = None):
-    """Degeneracy checks, centering and r, shared by the line fits and
-    ``correlation``.  Returns (xbar, ybar, dx, dy, sx, sy, r), where sx and sy
-    are the largest |dx| and |dy|."""
-    if min(xs) == max(xs):
+def _centered(on, xs, ys, ws, axis: Axis | None = None):
+    """Degeneracy checks, centering and r on the backend ``on``, shared by the
+    line fits and ``correlation``.  Returns (xbar, ybar, dx, dy, sx, sy, r),
+    where sx and sy are the largest |dx| and |dy|."""
+    if on.same(xs):
         msg = "all x values are equal"
         if axis is Axis.Y_ON_X:
             msg += "; no y-on-x line exists"
         raise DegenerateVariance(msg)
-    if min(ys) == max(ys):
+    if on.same(ys):
         # For Y_ON_X a flat line would fit, but r is then undefined; erroring
         # beats inventing a conventional value.
         raise DegenerateVariance("all y values are equal")
-    sw = _fsum(ws)
-    xbar = _fsum(w * x for w, x in zip(ws, xs)) / sw
-    ybar = _fsum(w * y for w, y in zip(ws, ys)) / sw
-    dx = [x - xbar for x in xs]
-    dy = [y - ybar for y in ys]
-    sx, sy = max(map(abs, dx)), max(map(abs, dy))
-    return xbar, ybar, dx, dy, sx, sy, _pearson_from_devs(dx, dy, ws, sx, sy)
+    sw = on.sum(ws)
+    xbar = on.sum(on.mul(ws, xs)) / sw
+    ybar = on.sum(on.mul(ws, ys)) / sw
+    dx, dy = on.minus(xs, xbar), on.minus(ys, ybar)
+    sx, sy = on.absmax(dx), on.absmax(dy)
+    return xbar, ybar, dx, dy, sx, sy, _pearson_from_devs(on, dx, dy, ws, sx, sy)
 
 
-def _regress(us, vs, ws, ubar, vbar, du, dv):
+def _regress(on, us, vs, ws, ubar, vbar, du, dv):
     """Weighted fit of v = m*u + b: (m, b, SSE).  Y_ON_X passes (x, y), X_ON_Y
     (y, x); the cross sum (w*du)*dv is order-exact only for unit weights."""
-    suu = _fsum(w * a * a for w, a in zip(ws, du))
-    suv = _fsum(w * a * b for w, a, b in zip(ws, du, dv))
+    suu = on.sum(on.mul(on.mul(ws, du), du))
+    suv = on.sum(on.mul(on.mul(ws, du), dv))
     if suu < sys.float_info.min:
         raise OutOfRange(f"sum of squared deviations {suu!r} is below the normal double range")
     m = suv / suu
     b = vbar - m * ubar
-    sse = _fsum(w * (v - (m * u + b)) ** 2 for w, u, v in zip(ws, us, vs))
+    sse = on.sum(on.mul(ws, on.square(on.off_line(us, vs, m, b))))
     return m, b, sse
 
 
 def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
     """Least-squares line through the columns xs, ys in y = mx + b form, weighted
     unless ``weights`` is None; equal weights give the unweighted fit bit for bit.
-    With ``arrays`` the fit is computed by :func:`_fit_arrays` where it can be."""
+    With ``arrays`` the steps run on numpy arrays where :func:`_backend` can
+    take them, with the same result bit for bit."""
     if not xs:
         raise EmptyInput("cannot fit an empty point list")
     if len(xs) < 2:
         raise InsufficientData("a line fit needs at least 2 points")
     if weights is not None and len(weights) != len(xs):
         raise LengthMismatch(f"{len(weights)} weights for {len(xs)} points")
-    if arrays and (fit := _on_arrays(_fit_arrays, xs, ys, weights, axis)) is not None:
-        return fit
     for w in () if weights is None else weights:
         if not (0 < w <= _DOUBLE_MAX):
             raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
-    ws = [1.0] * len(xs) if weights is None else [float(w) for w in weights]
-    xs, ys = _floats(xs, ys)
-    xbar, ybar, dx, dy, sx, sy, r = _centered(xs, ys, ws, axis)
-    # Squares of deviations below 2**-511 are subnormal and lose precision;
-    # raising beats returning a silently inaccurate fit.
-    if min(sx, sy) < 2.0**-511:
-        raise OutOfRange("deviations too small to square without underflow")
-    if axis is Axis.Y_ON_X:
-        m, b, sse = _regress(xs, ys, ws, xbar, ybar, dx, dy)
-    else:
-        # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
-        mp, bp, sse = _regress(ys, xs, ws, ybar, xbar, dy, dx)
-        if mp == 0.0:
-            raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
-        m, b = 1.0 / mp, -bp / mp
+    on, xs, ys, ws = _backend(xs, ys, weights, arrays)
+    with on.quiet():
+        xbar, ybar, dx, dy, sx, sy, r = _centered(on, xs, ys, ws, axis)
+        # Squares of deviations below 2**-511 are subnormal and lose precision;
+        # raising beats returning a silently inaccurate fit.
+        if min(sx, sy) < 2.0**-511:
+            raise OutOfRange("deviations too small to square without underflow")
+        if axis is Axis.Y_ON_X:
+            m, b, sse = _regress(on, xs, ys, ws, xbar, ybar, dx, dy)
+        else:
+            # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
+            mp, bp, sse = _regress(on, ys, xs, ws, ybar, xbar, dy, dx)
+            if mp == 0.0:
+                raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
+            m, b = 1.0 / mp, -bp / mp
     _require_finite((m, b), "fit overflowed")
     return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
-
-
-# --- the array path ---------------------------------------------------------------
-#
-# _fit, _line and _residuals can run on numpy arrays.  Each product, quotient
-# and square is formed by numpy with the Python core's operations in its order
-# (IEEE-754 rounds each one alike; squares go through np.float_power, which
-# calls the C library's pow as Python's ** does), and each sum is _fsum's exact
-# sum of the array's values, so the result is the Python core's bit for bit.
-# Where the Python core would raise, or a value is not finite, the array path
-# gives up and the Python core computes the result or raises its error.
-
-class _Refused(Exception):
-    """The array path cannot vouch for a result."""
-
-
-def _on_arrays(core, *args):
-    """``core(np, *args)``, or None where the array path refuses."""
-    import numpy as np  # deferred: only the array path needs numpy
-
-    try:
-        with np.errstate(all="ignore"):  # non-finite values are refused, not warned about
-            return core(np, *args)
-    except _Refused:
-        return None
-
-
-def _vector(np, values):
-    """``values`` as a float64 array, all finite; refused unless numpy reads them
-    as floats or ints, which it converts as float() does."""
-    try:
-        a = np.array(values)
-    except (TypeError, ValueError, OverflowError):
-        raise _Refused from None
-    if a.ndim != 1 or a.dtype.kind not in "fi":
-        raise _Refused
-    return _finite(np, a.astype(float))
-
-
-def _finite(np, a):
-    if not np.isfinite(a).all():
-        raise _Refused
-    return a
-
-
-def _asum(np, terms) -> float:
-    """_fsum of the array ``terms``; refused unless every term and the sum are finite."""
-    try:
-        return math.fsum(_finite(np, terms).tolist())
-    except OverflowError:
-        raise _Refused from None
-
-
-def _square(np, a):
-    return np.float_power(a, 2.0)  # the C library's pow, as Python's a ** 2 uses
-
-
-def _fit_arrays(np, xs, ys, weights, axis: Axis) -> LinearFit:
-    """:func:`_fit` of at least 2 points and as many weights, on arrays."""
-    x, y = _vector(np, xs), _vector(np, ys)
-    w = np.ones(len(x)) if weights is None else _vector(np, weights)
-    if not (w > 0).all() or x.min() == x.max() or y.min() == y.max():
-        raise _Refused
-    sw = _asum(np, w)
-    xbar, ybar = _asum(np, w * x) / sw, _asum(np, w * y) / sw
-    dx, dy = x - xbar, y - ybar
-    sx, sy = float(np.abs(dx).max()), float(np.abs(dy).max())
-    qx, qy = dx / sx, dy / sy
-    r = _clamped_r(_asum(np, w * _square(np, qx)), _asum(np, w * _square(np, qy)), _asum(np, w * qx * qy))
-    if min(sx, sy) < 2.0**-511:
-        raise _Refused
-    if axis is Axis.Y_ON_X:
-        m, b, sse = _regress_arrays(np, x, y, w, xbar, ybar, dx, dy)
-    else:
-        mp, bp, sse = _regress_arrays(np, y, x, w, ybar, xbar, dy, dx)
-        if mp == 0.0:
-            raise _Refused
-        m, b = 1.0 / mp, -bp / mp
-    if not (abs(m) <= _DOUBLE_MAX and abs(b) <= _DOUBLE_MAX):
-        raise _Refused
-    return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(x))
-
-
-def _regress_arrays(np, u, v, w, ubar, vbar, du, dv):
-    """:func:`_regress` on arrays."""
-    wdu = w * du
-    suu, suv = _asum(np, wdu * du), _asum(np, wdu * dv)
-    if suu < sys.float_info.min:
-        raise _Refused
-    m = suv / suu
-    b = vbar - m * ubar
-    return m, b, _asum(np, w * _square(np, v - (m * u + b)))
-
-
-def _affine_arrays(np, m, b, us, vs) -> list[float]:
-    """m*u + b at each of ``us``, or v - (m*u + b) when ``vs`` is given, on arrays."""
-    if type(m) is not float or type(b) is not float:  # numpy, not Python, would convert other types
-        raise _Refused
-    line = m * _vector(np, us) + b
-    return _finite(np, line if vs is None else _vector(np, vs) - line).tolist()
 
 
 def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
@@ -338,11 +304,8 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     return _fit(*_columns(points), weights, Axis.Y_ON_X)
 
 
-def _line(fit: LinearFit, xs, arrays: bool = False) -> list[float]:
-    """The fitted line at each of ``xs``, all finite or OutOfRange; on numpy
-    arrays with ``arrays``, where they can be used."""
-    if arrays and (line := _on_arrays(_affine_arrays, fit.slope, fit.intercept, xs, None)) is not None:
-        return line
+def _line(fit: LinearFit, xs) -> list[float]:
+    """The fitted line at each of ``xs``, all finite or OutOfRange."""
     try:
         return _require_finite([fit.slope * x + fit.intercept for x in xs], "predicted value")
     except OverflowError:  # the line or an x holds an int too large for a float
@@ -356,10 +319,9 @@ def predict(fit: LinearFit, x: float) -> float:
     return _line(fit, (x,))[0]
 
 
-def _residuals(fit: LinearFit, xs, ys, arrays: bool = False) -> list[float]:
+def _residuals(fit: LinearFit, xs, ys) -> list[float]:
     """v - (m*u + b) at each point, for the line v = m*u + b that the fit
-    minimized deviations from: y on x, or x on y for an X_ON_Y fit; on numpy
-    arrays with ``arrays``, where they can be used."""
+    minimized deviations from: y on x, or x on y for an X_ON_Y fit."""
     if fit.axis is Axis.X_ON_Y and fit.slope == 0.0:
         raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
     try:
@@ -367,8 +329,6 @@ def _residuals(fit: LinearFit, xs, ys, arrays: bool = False) -> list[float]:
             m, b, us, vs = fit.slope, fit.intercept, xs, ys
         else:
             m, b, us, vs = 1.0 / fit.slope, -fit.intercept / fit.slope, ys, xs
-        if arrays and (ds := _on_arrays(_affine_arrays, m, b, us, vs)) is not None:
-            return ds
         return _require_finite([v - (m * u + b) for u, v in zip(us, vs)], "residual")
     except OverflowError:  # the line or a coordinate holds an int too large for a float
         _require_finite((fit.slope, fit.intercept), "line parameter")
@@ -394,8 +354,7 @@ def _correlation(xs, ys) -> float:
     """``correlation`` of the columns ``xs`` and ``ys``."""
     if len(xs) < 2:
         raise InsufficientData("correlation needs at least 2 points")
-    xs, ys = _floats(xs, ys)
-    return _centered(xs, ys, [1.0] * len(xs))[-1]
+    return _centered(*_backend(xs, ys))[-1]
 
 
 def correlation(points: list[Point]) -> float:

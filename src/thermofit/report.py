@@ -25,7 +25,8 @@ class FitReport:
 
     The report stores the table as its four columns; ``residual_table`` is a
     view that rebuilds the rows from them.  A table that is not rows of four
-    values is stored and shown as given, and the writers refuse it.
+    values is refused: TypeError for a row that is not iterable, ValueError
+    for one that is not four values.
     """
 
     series_label: str
@@ -56,20 +57,16 @@ class FitReport:
     @property
     def residual_table(self) -> tuple[tuple[float, float, float, float], ...]:
         """The rows (x, observed, predicted, residual), a view built from the columns."""
-        if len(self._columns) == 1:  # not rows of four values: the table as given
-            return self._columns[0]
         return tuple(zip(*self._columns))
 
 
 def _columns_of(table) -> tuple:
-    """The four columns of a table of rows of four values; any other table is
-    kept whole, as one column."""
-    rows = tuple(table)
-    try:
-        columns = tuple(zip(*rows, strict=True)) or ((),) * 4
-    except (TypeError, ValueError):
-        return (rows,)
-    return columns if len(columns) == 4 else (rows,)
+    """The four columns of a table of rows of four values; TypeError for a row
+    that is not iterable, ValueError for one that is not four values."""
+    columns = tuple(zip(*table, strict=True)) or ((),) * 4
+    if len(columns) != 4:
+        raise ValueError(f"residual_table rows must be four values, not {len(columns)}")
+    return columns
 
 
 def build_report(
@@ -91,7 +88,7 @@ def build_report(
     # numpy is loaded only where the curve fit loads it anyway
     arrays = nonlinear and len(xs) >= _ARRAY_MIN
     fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, arrays)
-    columns = (xs, ys, tuple(_line(fit, xs, arrays)), tuple(_residuals(fit, xs, ys, arrays)))
+    columns = (xs, ys, tuple(_line(fit, xs)), tuple(_residuals(fit, xs, ys)))
     nl = None
     if nonlinear:
         from .stepsolve import gauss_newton  # deferred: only a curve fit needs the solvers
@@ -106,11 +103,8 @@ _BLOCK_ROWS = 4096
 
 
 def _blocks(columns):
-    """The four columns, sliced into blocks of at most ``_BLOCK_ROWS`` rows.
-    A table kept whole raises, before the first block, what unpacking its bad
-    row would: TypeError for a row that is not iterable, ValueError for one
-    that is not four values."""
-    x, y, p, d = columns if len(columns) == 4 else zip(*columns[0], strict=True)
+    """The four columns, sliced into blocks of at most ``_BLOCK_ROWS`` rows."""
+    x, y, p, d = columns
     for i in range(0, len(x), _BLOCK_ROWS):
         j = i + _BLOCK_ROWS
         yield x[i:j], y[i:j], p[i:j], d[i:j]

@@ -12,6 +12,7 @@ import math
 from html import escape
 
 from .dataset import Series, _require_valid
+from .errors import _DOUBLE_MAX, OutOfRange
 from .regression import LinearFit, _line
 from .stepmodel import StepModelParams, model_eval
 
@@ -32,13 +33,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _no_ticks(lo: float, hi: float) -> OutOfRange:
+    return OutOfRange(f"a plot axis from {lo!r} to {hi!r} has no tick step in double precision")
+
+
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 * 10^k step."""
+    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 * 10^k step;
+    OutOfRange where the span, or its step, is zero or not finite as a double."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    if not (0 < raw <= _DOUBLE_MAX) or not (mag := 10.0 ** math.floor(math.log10(raw))):
+        raise _no_ticks(lo, hi)
     step = 10 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (mult * mag) <= target:
@@ -49,6 +54,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-9 * span:
         ticks.append(round(v, 12))
+        if v + step == v:  # the step is lost in v's rounding: the next tick would be this one
+            raise _no_ticks(lo, hi)
         v += step
     return ticks
 

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -27,15 +28,8 @@ from thermofit.errors import (
     ThermofitError,
 )
 
-from thermofit.regression import (
-    _affine_arrays,
-    _fit,
-    _fit_arrays,
-    _line,
-    _on_arrays,
-    _residuals,
-    _square,
-)
+from thermofit import regression
+from thermofit.regression import _arrays, _fit
 
 from oracles import FULL, IDLE, TIMES, brute_force_line, decimal_correlation, line_sse
 
@@ -576,9 +570,8 @@ _HUGE_LINES = [
     [
         lambda fit: predict(fit, 1.0),
         lambda fit: residuals(fit, [(1.0, 2.0)]),
-        lambda fit: _residuals(fit, [1.0], [2.0], arrays=True),
     ],
-    ids=["predict", "residuals", "_residuals-arrays"],
+    ids=["predict", "residuals"],
 )
 def test_a_line_parameter_too_large_for_a_float_is_out_of_range(fit, call):
     # the int was multiplied by a float: an untyped OverflowError
@@ -586,22 +579,21 @@ def test_a_line_parameter_too_large_for_a_float_is_out_of_range(fit, call):
         call(fit)
 
 
-# --- the array path --------------------------------------------------------------
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda fit: residuals(fit, [(0.0, 1.0)]),
         lambda fit: sse(fit, [(0.0, 1.0)]),
-        lambda fit: _residuals(fit, [0.0], [1.0], arrays=True),
     ],
-    ids=["residuals", "sse", "_residuals-arrays"],
+    ids=["residuals", "sse"],
 )
 def test_residuals_of_a_zero_x_on_y_slope_are_degenerate(call):
     # 1/slope raised an untyped ZeroDivisionError
     with pytest.raises(DegenerateVariance, match="x-on-y slope is zero"):
         call(LinearFit(0.0, 1.0, Axis.X_ON_Y, 0.5, 0.0, 2))
+
+
+# --- the one core on its two backends: lists and numpy arrays ---------------------
 
 
 def _outcome(call):
@@ -660,9 +652,6 @@ def test_the_array_core_is_the_python_core_bit_for_bit(columns, weights, axis):
         axis = Axis.Y_ON_X
     fit = _outcome(lambda: _fit(xs, ys, ws, axis, arrays=True))
     assert fit == _outcome(lambda: _fit(xs, ys, ws, axis, arrays=False))
-    for line in (_fit(FULL_XS, FULL_YS, None, axis), _manual_fit(7.5e-3, -2.0, axis)):
-        assert _outcome(lambda: _line(line, xs, arrays=True)) == _outcome(lambda: _line(line, xs))
-        assert _outcome(lambda: _residuals(line, xs, ys, arrays=True)) == _outcome(lambda: _residuals(line, xs, ys))
 
 
 def test_the_array_path_squares_as_python_does():
@@ -672,13 +661,29 @@ def test_the_array_path_squares_as_python_does():
 
     rng = random.Random(5)
     values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-160, 150) for _ in range(20_000)]
-    squares = _square(np, np.array(values)).tolist()
+    squares = _arrays(np).square(np.array(values)).tolist()
     assert list(map(float.hex, squares)) == [float.hex(v**2) for v in values]
 
 
+_BOTH_AXES_AND_WEIGHTED = [(False, Axis.Y_ON_X), (False, Axis.X_ON_Y), (True, Axis.Y_ON_X)]
+
+
 def test_the_array_path_computes_where_the_python_core_does():
-    # the property above would hold trivially if the array path always gave up
-    fit = _fit(FULL_XS, FULL_YS, None, Axis.Y_ON_X)
-    assert _on_arrays(_fit_arrays, FULL_XS, FULL_YS, None, Axis.X_ON_Y) is not None
-    assert _on_arrays(_fit_arrays, FULL_XS, FULL_YS, [2.0] * len(FULL_XS), Axis.Y_ON_X) is not None
-    assert _on_arrays(_affine_arrays, fit.slope, fit.intercept, FULL_XS, FULL_YS) is not None
+    # the property above would hold trivially if a fit on arrays took the lists:
+    # with the list backend gone, it must still fit, and as the lists do
+    for weighted, axis in _BOTH_AXES_AND_WEIGHTED:
+        ws = [2.0] * len(FULL_XS) if weighted else None
+        with mock.patch.object(regression, "_LISTS", None):
+            fit = _fit(FULL_XS, FULL_YS, ws, axis, arrays=True)
+        assert fit == _fit(FULL_XS, FULL_YS, ws, axis)
+
+
+@pytest.mark.parametrize("weighted, axis", _BOTH_AXES_AND_WEIGHTED, ids=["y-on-x", "x-on-y", "weighted"])
+def test_the_two_backends_agree_at_logger_size(weighted, axis):
+    # 5000 noisy samples of a 1 Hz warm-up, as a logger records them
+    rng = random.Random(16)
+    xs = [float(t) for t in range(5000)]
+    ys = [60.0 - 40.0 * math.exp(-t / 1500.0) + rng.gauss(0.0, 0.3) for t in xs]
+    ws = [rng.uniform(0.5, 2.0) for _ in xs] if weighted else None
+    on_arrays, on_lists = (_outcome(lambda: _fit(xs, ys, ws, axis, arrays)) for arrays in (True, False))
+    assert isinstance(on_arrays[0], list) and on_arrays == on_lists

@@ -46,7 +46,7 @@ from thermofit import (
     wls_fit,
 )
 from thermofit.errors import ThermofitError
-from thermofit.regression import _fit, _line, _residuals
+from thermofit.regression import _fit
 from thermofit.svgplot import render_plot
 
 from conftest import synth_series
@@ -93,13 +93,10 @@ _CALLS = {
     "max_power": lambda v: max_power(v[0], abs(v[1]), v[2]),
     "gauss_newton": lambda v: gauss_newton(_STEP, _params(v), max_iter=20),
     "gradient_descent": lambda v: gradient_descent(_STEP, _params(v), max_iter=20),
-    # the array path of the line-fit cores
+    # the line fit on numpy arrays
     "_fit-arrays": lambda v: _fit(v[0::2], v[1::2], None, Axis.Y_ON_X, arrays=True),
     "_fit-arrays-x-on-y": lambda v: _fit(v[0::2], v[1::2], None, Axis.X_ON_Y, arrays=True),
     "_fit-arrays-weighted": lambda v: _fit(v[0::2], v[1::2], [1.0, 2.0, 3.0], Axis.Y_ON_X, arrays=True),
-    "_line-arrays": lambda v: _line(_FIT, v, arrays=True),
-    "_residuals-arrays": lambda v: _residuals(_FIT, v[0::2], v[1::2], arrays=True),
-    "_residuals-arrays-x-on-y": lambda v: _residuals(_FIT_X_ON_Y, v[0::2], v[1::2], arrays=True),
 }
 
 _EDGES = [10**400, -(10**400), 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0]
@@ -149,6 +146,37 @@ def test_invalid_series_gets_the_error_validate_lists_first(name, series):
     with pytest.raises(ThermofitError) as info:
         _SERIES_CALLS[name](series)
     assert type(info.value).__name__ == report[0].rule
+
+
+# --- rule 1 for a plot of any valid series ------------------------------------------
+
+_TINY_SLOPE = LinearFit(1e-308, 20.0, Axis.Y_ON_X, 0.5, 0.0, 2)
+
+
+@st.composite
+def valid_series(draw):
+    """1 to 6 samples at strictly increasing times anywhere in [0, DOUBLE_MAX]."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=1, max_size=6, unique=True)))
+    temps = draw(st.lists(st.floats(-273.15, 10000.0), min_size=len(times), max_size=len(times)))
+    return Series("s", zip(times, temps))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_lines = st.just(_FIT) | st.builds(_drawn_line, st.tuples(_finite, _finite), st.just(Axis.Y_ON_X))
+
+
+@given(valid_series(), _lines)
+@example(Series("tiny", [(0.0, 20.0), (5e-324, 30.0)]), _FIT)  # ValueError: math domain error
+@example(Series("big", [(0.0, 20.0), (1.7e308, 30.0)]), _TINY_SLOPE)  # OverflowError: the padded span is inf
+@example(Series("one", [(1e300, 20.0)]), _TINY_SLOPE)  # ZeroDivisionError: 1e300 + 1.0 is 1e300
+@example(Series("steep", [(0.0, 20.0), (1.0, 30.0)]), _drawn_line([1.7e308, -1.7e308], Axis.Y_ON_X))  # y span is inf
+@example(Series("adjacent", [(1e300, 20.0), (math.nextafter(1e300, math.inf), 30.0)]), _TINY_SLOPE)  # never ended
+def test_a_plot_of_a_valid_series_is_an_svg_or_a_typed_error(series, fit):
+    try:
+        svg = render_plot(series, fit)
+    except ThermofitError:
+        return
+    assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
 
 
 # --- rule 1 for ints too long to write out -------------------------------------------

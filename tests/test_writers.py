@@ -134,9 +134,9 @@ def test_render_json_refuses_an_entry_that_is_not_a_number(entry):
 @pytest.mark.parametrize("writer", [render_json, render_text])
 @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)], ids=["short", "long"])
 def test_writers_refuse_a_row_that_is_not_four_values(writer, row):
-    report = FitReport("bad", _LINE, FitClass.MODERATE, ((0.0, 1.0, 1.0, 0.0), row))
+    # the report refuses the table as it is built, so no writer is handed one
     with pytest.raises(ValueError):
-        writer(report)
+        writer(FitReport("bad", _LINE, FitClass.MODERATE, ((0.0, 1.0, 1.0, 0.0), row)))
 
 
 def test_a_report_keeps_its_table_as_columns():
@@ -148,13 +148,20 @@ def test_a_report_keeps_its_table_as_columns():
     assert dataclasses.replace(moved, series_label=report.series_label) == report
 
 
-@pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), 3.0], ids=["short", "not-iterable"])
-def test_a_table_that_is_not_rows_of_four_is_kept_as_given(row):
-    table = ((0.0, 1.0, 1.0, 0.0), row)
-    report = FitReport("bad", _LINE, FitClass.MODERATE, table)
-    assert report.residual_table == table
-    with pytest.raises(ValueError if isinstance(row, tuple) else TypeError):
-        render_json(report)
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        (((0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 3.0)), ValueError),
+        (((0.0, 1.0, 1.0, 0.0), 3.0), TypeError),
+        (((0.0, 1.0, 1.0),) * 2, ValueError),
+    ],
+    ids=["short", "not-iterable", "rows-of-three"],
+)
+def test_a_table_that_is_not_rows_of_four_is_refused(table, error):
+    with pytest.raises(error):
+        FitReport("bad", _LINE, FitClass.MODERATE, table)
+    with pytest.raises(error):
+        dataclasses.replace(build_report(builtin_series("full")), residual_table=table)
 
 
 # --- the writers encode the table a block of rows at a time ---------------------------
