@@ -96,7 +96,7 @@ class NonPositiveWeight(ThermofitError):
 
 
 class SingularNormalMatrix(ThermofitError):
-    """The Gauss-Newton normal matrix is rank-deficient; parameters unidentifiable."""
+    """The step-response fit does not determine tau: flat data, or the best fit is the straight line."""
 
     code = "E_SINGULAR_NORMAL_MATRIX"
 

@@ -4,8 +4,11 @@ This module holds everything of the step model that needs numpy: the model
 and its Jacobian over arrays of times, the public ``jacobian`` and
 ``sse_gradient``, which return arrays, and ``_ArraySums``, the kernel that
 gives ``stepsolve``'s solvers their per-sample sums on a series of at least
-``errors._ARRAY_MIN`` samples.  The solvers themselves and ``model_sse``
-live in ``stepsolve``, which imports no numpy; they are exported here too.
+``errors._ARRAY_MIN`` samples: the SSE at given parameters, and the columns
+and element-wise steps of the inner linear solve at a rate k = 1/tau, which
+``stepsolve._Sums.reduced`` writes once for both kernels.  The solvers
+themselves and ``model_sse`` live in ``stepsolve``, which imports no numpy;
+they are exported here too.
 numpy's floating-point warnings are silenced here: every public function
 checks that its result is finite, and the solvers check what they use.
 """
@@ -17,7 +20,7 @@ import numpy as np
 from .dataset import Series, _require_valid
 from .errors import _require_finite
 from .stepmodel import JacobianMode, StepModelParams
-from .stepsolve import _theta, gauss_newton, gradient_descent, model_sse  # noqa: F401  (solvers exported here too)
+from .stepsolve import _Sums, _theta, gauss_newton, gradient_descent, model_sse  # noqa: F401  (solvers exported here too)
 
 
 def _curve(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -39,32 +42,41 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-class _ArraySums:
+class _ArraySums(_Sums):
     """``stepsolve``'s kernel of per-sample sums on float64 arrays, summed by numpy."""
 
     def __init__(self, series: Series):
-        self.times = np.array(series.times, dtype=float)
-        self.ys = np.array(series.temps, dtype=float)
+        super().__init__(np.array(series.times, dtype=float), np.array(series.temps, dtype=float))
 
     @np.errstate(all="ignore")
     def sse(self, theta) -> float:
-        r = self.ys - _curve(np.array(theta), self.times)
+        r = self.temps - _curve(np.array(theta), self.times)
         return _dot(r, r)
 
-    @np.errstate(all="ignore")
-    def jtr(self, theta) -> tuple[float, ...]:
-        """J'r with r = observed - model."""
-        theta = np.array(theta)
-        r = self.ys - _curve(theta, self.times)
-        return tuple(_dot(c, r) for c in _jac_columns(theta, self.times))
+    def columns(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        """phi_k and d(phi_k)/dk at each time, in the kernel's unit."""
+        u = self.units
+        if not k:
+            return u, -0.5 * u * u
+        phi = -np.expm1(-k * u) / k
+        return phi, (u * np.exp(-k * u) - phi) / k
 
-    @np.errstate(all="ignore")
-    def normal(self, theta, active):
-        theta = np.array(theta)
-        columns = _jac_columns(theta, self.times)
-        columns = [columns[j] for j in active]
-        r = self.ys - _curve(theta, self.times)
-        return [[_dot(ci, cj) for cj in columns] for ci in columns], [_dot(c, r) for c in columns]
+    @staticmethod
+    def centered(a: np.ndarray) -> tuple[float, np.ndarray]:
+        mean = float(np.add.reduce(a)) / a.size
+        return mean, a - mean
+
+    dot = staticmethod(_dot)
+
+    @staticmethod
+    def less(a: np.ndarray, c: float, b: np.ndarray) -> np.ndarray:
+        return a - c * b
+
+    @staticmethod
+    def over(a: np.ndarray, c: float) -> np.ndarray:
+        return a / c
+
+    reduced = np.errstate(all="ignore")(_Sums.reduced)
 
 
 @np.errstate(all="ignore")
@@ -100,4 +112,7 @@ def jacobian(
 def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     """Gradient of the SSE objective: -2 * J' r with r = observed - model."""
     _require_valid(series)
-    return _require_finite(-2.0 * np.array(_ArraySums(series).jtr(_theta(params))), "SSE gradient entry")
+    theta = np.array(_theta(params))
+    times = np.array(series.times, dtype=float)
+    r = np.array(series.temps, dtype=float) - _curve(theta, times)
+    return _require_finite(-2.0 * np.array([_dot(c, r) for c in _jac_columns(theta, times)]), "SSE gradient entry")

@@ -5,16 +5,25 @@ measured series by minimizing the sum of squared residuals; ``model_sse`` is
 that sum.  This module imports no numpy, and ``stepmodel``, which a report
 or a plot needs without fitting anything, does not import this one.
 
-Both solvers are line searches run by one iteration loop, ``_descend``, over
-one backtracking step-halving search and one solver of the normal equations;
-they differ only in direction, starting step and halvings.  One rule, tested
-once per SSE, stops both: converged when the SSE is 0 or its relative
-decrease over the last ``span`` iterations falls below ``tol`` (``span`` is 1
-for Gauss-Newton, ``window`` for steepest descent).  The parameters are a
-tuple of three floats; only the per-sample sums (the SSE, J'J and J'r) come
-from a kernel chosen by the series' size: exact ``math.fsum`` sums over
-Python lists below ``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays
-from it (``stepfit._ArraySums``).  So a fit of a short series never loads numpy.
+Both solvers fit the model in its separable form (variable projection):
+
+    T(t) = T0 + s0 * phi_k(t),   phi_k(t) = (1 - exp(-k t)) / k,   phi_0(t) = t,
+
+with k = 1/tau >= 0 and s0 = (T_inf - T0) / tau the initial slope.  At each
+k the temperatures (T0, s0) are an exact linear least-squares solve, which
+leaves a one-parameter problem in k: the reduced SSE.  Both solvers are line
+searches on k run by one iteration loop, ``_descend``, with one
+backtracking step-halving search; they differ only in direction, starting
+step and halvings.  A result maps back as tau = 1/k and T_inf = T0 + s0/k.
+One rule, tested once per SSE, stops both: converged when the SSE is 0 or
+its relative decrease over the last ``span`` iterations falls below ``tol``
+(``span`` is 1 for Gauss-Newton, ``window`` for steepest descent).  One rule
+refuses both a fit that does not determine tau: SingularNormalMatrix when
+the fitted amplitude s0 is 0 (flat data) or the fit ends at k = 0 (the
+straight line).  Only the per-sample sums come from a kernel chosen by the
+series' size: exact ``math.fsum`` sums over Python lists below
+``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays from it
+(``stepfit._ArraySums``).  So a fit of a short series never loads numpy.
 Every function here refuses an invalid series (checked once per Series
 object) or parameters, the solvers refuse out-of-range options, and a result
 that is not finite raises OutOfRange.
@@ -24,8 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from itertools import chain
 
 from .dataset import Series, _require_valid
 from .errors import (
@@ -40,7 +47,7 @@ from .errors import (
 )
 from .stepmodel import NlFit, StepModelParams, _checked, _require_count, _valid, default_init
 
-_MAX_COND = 1e12  # reciprocal of the rank tolerance on J'J
+_UNIDENTIFIABLE = "tau and T_inf are not identifiable from this data"
 
 
 def _theta(params: StepModelParams) -> tuple[float, float, float]:
@@ -51,11 +58,14 @@ def _theta(params: StepModelParams) -> tuple[float, float, float]:
 
 # --- the per-sample sums ------------------------------------------------------------
 #
-# A kernel holds one series and gives the solvers its sums at parameters theta:
-# ``sse(theta)``, ``jtr(theta)`` (J'r, r = observed - model) and
-# ``normal(theta, active)`` (J'J and J'r over the active parameters, as nested
-# sequences).  A value that overflows is inf or NaN, as in floating point; the
-# callers check what they use.
+# A kernel holds one series and gives the solvers its sums: ``sse(theta)`` at
+# parameters (T_0, T_inf, tau), and ``reduced(k)``, the inner solve at k.  Here
+# the times are in units of ``unit``, the largest power of 2 up to the last
+# time, and k in units of 1/unit, so that every column and sum is of order 1
+# whatever the unit of time, and the scaling itself is exact; ``theta(k, fit)``
+# maps back.  A subclass gives the element-wise steps on its columns.  A value
+# that overflows is inf or NaN, as in floating point; the callers check what
+# they use.
 
 
 def _sums(series: Series):
@@ -68,146 +78,84 @@ def _sums(series: Series):
     return _ListSums(series)
 
 
-def _dot(a, b) -> float:
-    """The exact (correctly rounded) sum of the products a[i] * b[i]; where
-    math.fsum raises, the floating-point sum: +-inf on overflow, NaN for
-    inf + -inf."""
-    terms = list(map(operator.mul, a, b))
+class _Sums:
+    """The inner solve, written once over a subclass's columns and its
+    element-wise steps ``columns``, ``centered``, ``dot``, ``less`` and ``over``."""
+
+    def __init__(self, times, temps):
+        self.times, self.temps = times, temps
+        self.unit = math.ldexp(1.0, math.frexp(times[-1])[1] - 1)
+        self.units = self.over(times, self.unit)
+        self.mean_temp, self.dev_temps = self.centered(temps)
+
+    def theta(self, k: float, fit) -> tuple[float, float, float]:
+        """(T_0, T_inf, tau) of the inner solve ``fit`` at k > 0."""
+        t0, s0 = fit[0], fit[1]
+        return t0, t0 + s0 / k, self.unit / k
+
+    def reduced(self, k: float) -> tuple[float, float, float, float, float]:
+        """(T0, s0, sse, g, h) at k: the least-squares (T0, s0) of
+        T0 + s0 * phi_k, its SSE, and with q = d(phi_k)/dk projected off
+        (1, phi_k) and r the residuals, g = q'r and h = q'q.  The SSE's
+        derivative in k is -2 s0 g, and Kaufman's Gauss-Newton normal matrix
+        of the reduced problem is s0^2 h.  All NaN where phi_k is constant."""
+        phi, dphi = self.columns(k)
+        mean_phi, dev_phi = self.centered(phi)
+        s_pp = self.dot(dev_phi, dev_phi)
+        if not s_pp > 0.0:
+            return (math.nan,) * 5
+        s0 = self.dot(dev_phi, self.dev_temps) / s_pp
+        r = self.less(self.dev_temps, s0, dev_phi)
+        dev_dphi = self.centered(dphi)[1]
+        q = self.less(dev_dphi, self.dot(dev_phi, dev_dphi) / s_pp, dev_phi)
+        return self.mean_temp - s0 * mean_phi, s0, self.dot(r, r), self.dot(q, r), self.dot(q, q)
+
+
+def _fsum(terms: list) -> float:
+    """The exact (correctly rounded) sum; where math.fsum raises, the
+    floating-point sum: +-inf on overflow, NaN for inf + -inf."""
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
         return sum(terms)
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-class _ListSums:
+class _ListSums(_Sums):
     """The solvers' sums on Python lists, each an exact (correctly rounded) fsum
     of the terms the array kernel sums; the terms are formed as numpy forms them."""
 
     def __init__(self, series: Series):
-        self.times = list(map(float, series.times))
-        self.temps = list(map(float, series.temps))
-
-    def _decays(self, tau: float) -> list[float]:
-        try:
-            return [math.exp(-t / tau) for t in self.times]
-        except OverflowError:  # a time long before the step
-            return [_exp(-t / tau) for t in self.times]
-
-    def _residuals(self, theta, decays) -> list[float]:
-        t0, tinf, _ = theta
-        a = t0 - tinf
-        return [y - (tinf + a * e) for y, e in zip(self.temps, decays)]
+        super().__init__(list(map(float, series.times)), list(map(float, series.temps)))
 
     def sse(self, theta) -> float:
-        r = self._residuals(theta, self._decays(theta[2]))
-        return _dot(r, r)
-
-    def _columns(self, theta):
-        """The three columns of the Jacobian at theta, and the residuals."""
         t0, tinf, tau = theta
-        decays = self._decays(tau)
-        tau2 = tau * tau
-        # t / tau**2 as numpy divides, also by a square that underflowed to 0
-        scaled = [t / tau2 for t in self.times] if tau2 else [t * math.inf for t in self.times]
         a = t0 - tinf
-        columns = (decays, [1.0 - e for e in decays], [a * s * e for s, e in zip(scaled, decays)])
-        return columns, self._residuals(theta, decays)
+        r = [y - (tinf + a * math.exp(-t / tau)) for t, y in zip(self.times, self.temps)]
+        return self.dot(r, r)
 
-    def jtr(self, theta) -> tuple[float, ...]:
-        columns, r = self._columns(theta)
-        return tuple(_dot(c, r) for c in columns)
+    def columns(self, k: float):
+        """phi_k and d(phi_k)/dk at each time, in the kernel's unit."""
+        if not k:
+            return self.units, [-0.5 * u * u for u in self.units]
+        phi = [-math.expm1(-k * u) / k for u in self.units]
+        return phi, [(u * math.exp(-k * u) - p) / k for u, p in zip(self.units, phi)]
 
-    def normal(self, theta, active):
-        columns, r = self._columns(theta)
-        columns = [columns[j] for j in active]
-        jtj = tuple(tuple(_dot(ci, cj) for cj in columns) for ci in columns)
-        return jtj, tuple(_dot(c, r) for c in columns)
+    @staticmethod
+    def centered(a: list) -> tuple[float, list]:
+        mean = _fsum(a) / len(a)
+        return mean, [v - mean for v in a]
 
+    @staticmethod
+    def dot(a: list, b: list) -> float:
+        return _fsum(list(map(operator.mul, a, b)))
 
-# --- the normal equations -----------------------------------------------------------
+    @staticmethod
+    def less(a: list, c: float, b: list) -> list:
+        return [u - c * v for u, v in zip(a, b)]
 
-_EPS = sys.float_info.epsilon
-_UNIDENTIFIABLE = "parameters are not identifiable from this data"
-_SWEEPS = 30  # cyclic Jacobi converges quadratically: a 3x3 takes a few sweeps
-
-
-def _eigenvalues(a) -> list[float]:
-    """Eigenvalues of the symmetric matrix ``a``, by cyclic Jacobi rotations.
-    An off-diagonal entry is rotated away until it is below
-    eps * sqrt(|a_pp| * |a_qq|), which keeps the small eigenvalues of a
-    well-scaled matrix to high relative accuracy."""
-    n = len(a)
-    a = [list(row) for row in a]
-    for _ in range(_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p])) * math.sqrt(abs(a[q][q])):
-                    continue
-                rotated = True
-                h = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, h) / (abs(h) + math.hypot(h, 1.0))  # tan of the rotation angle
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = a[k][p], a[k][q]
-                        a[k][p] = a[p][k] = c * akp - s * akq
-                        a[k][q] = a[q][k] = s * akp + c * akq
-        if not rotated:
-            break
-    return [a[i][i] for i in range(n)]
-
-
-def _solve_normal(jtj, jtr) -> list[float]:
-    """delta with (J'J) delta = J'r, for a finite symmetric normal matrix.
-
-    Conditioning is measured on the equilibrated matrix (unit diagonal), so
-    that parameter units (seconds vs degrees) cannot masquerade as rank
-    deficiency; a zero diagonal means a structurally dead parameter.  The
-    2-norm condition is the ratio of the extreme eigenvalues of the
-    equilibrated matrix.  The system is then solved as LAPACK's gesv solves
-    it: Gaussian elimination with partial pivoting of the matrix as given.
-    """
-    n = len(jtj)
-    d = [math.sqrt(jtj[i][i]) for i in range(n)]
-    if 0.0 in d:
-        raise SingularNormalMatrix(
-            "a model parameter has zero sensitivity everywhere; "
-            "it cannot be identified from this data"
-        )
-    lam = _eigenvalues([[jtj[i][j] / d[i] / d[j] for j in range(n)] for i in range(n)])
-    low = min(map(abs, lam))
-    cond = max(map(abs, lam)) / low if low else math.inf
-    if not cond <= _MAX_COND:
-        raise SingularNormalMatrix(
-            f"normal matrix condition {cond:.3e} exceeds {_MAX_COND:.0e}; " + _UNIDENTIFIABLE
-        )
-    m = [[*row, b] for row, b in zip(jtj, jtr)]
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda i: abs(m[i][k]))
-        m[k], m[pivot] = m[pivot], m[k]
-        if m[k][k] == 0.0:  # the elimination underflowed: tiny sensitivities
-            raise SingularNormalMatrix("normal matrix is singular to working precision; " + _UNIDENTIFIABLE)
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n + 1):
-                m[i][j] -= f * m[k][j]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
-    return x
+    @staticmethod
+    def over(a: list, c: float) -> list:
+        return [v / c for v in a]
 
 
 # --- the solvers --------------------------------------------------------------------
@@ -219,15 +167,29 @@ def model_sse(params: StepModelParams, series: Series) -> float:
     return _require_finite((sums.sse(_theta(params)),), "SSE")[0]
 
 
-def _descend(series, init, max_iter, tol, *, span, tries, step, restart, direction) -> NlFit:
-    """The iteration loop of both solvers.
+def _trial(sums, k: float):
+    """The inner solve at k >= 0 and its SSE, or inf where k may not be an
+    iterate.  The solve must be finite and, for k > 0, map to valid
+    parameters; k = 0, the straight line, must be a minimum over k >= 0:
+    the SSE's slope there, -2 s0 g, is not negative."""
+    fit = sums.reduced(k)
+    ok = all(abs(v) <= _DOUBLE_MAX for v in fit) and (_valid(*sums.theta(k, fit)) if k else fit[1] * fit[3] <= 0.0)
+    return fit, fit[2] if ok else math.inf
 
-    Each iteration backtracks along ``direction(sums, theta)`` from ``step``
-    with up to ``tries`` trials; ``restart`` maps the accepted step to the
-    next start.  Converged: the SSE is 0, the direction is None (a
-    stationary point), or the relative SSE decrease over the last ``span``
-    iterations is below ``tol``.  Otherwise the loop stops at ``max_iter``
-    or when no damped step improves, returning the best iterate found.
+
+def _descend(series, init, max_iter, tol, *, span, tries, step, restart, direction) -> NlFit:
+    """The iteration loop of both solvers, on the rate k = 1/tau in the kernel's unit.
+
+    Each iteration backtracks along ``direction(s0, g, h)`` of the inner
+    solve at the current k from ``step`` (at most doubling k) with up to
+    ``tries`` trials, a trial below 0 taken at 0, and accepts the first k
+    whose reduced SSE is no higher than the current k's; ``restart`` maps
+    the accepted step to the next start.  Where no step is taken from the
+    starting k, the inner solve there is the first iterate.  Converged: the
+    SSE is 0, the direction is None or 0 (a stationary point), or the
+    relative SSE decrease over the last ``span`` iterations is below
+    ``tol``.  Otherwise the loop stops at ``max_iter`` or when no damped
+    step improves, returning the best iterate found.
     """
     _require_count("max_iter", max_iter, 0)
     if not tol >= 0:
@@ -239,55 +201,61 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
 
     current = _require_finite((sums.sse(theta),), "SSE at the starting parameters")[0]
     trace = [(0, current)]
+    k = sums.unit / theta[2]
+    here = sums.reduced(k)
+    _require_finite((*here, *sums.theta(k, here)), "inner solve at the starting tau")
     while True:
-        k = len(trace) - 1
+        n = len(trace) - 1
         # The one stopping rule; SSEs never increase, so past > 0 if current > 0.
-        past = trace[k - span][1] if k >= span else None
+        past = trace[n - span][1] if n >= span else None
         converged = current == 0.0 or (past is not None and (past - current) / past < tol)
-        if converged or k >= max_iter:
+        if converged or n >= max_iter:
             break
-        d = direction(sums, theta)
-        converged = d is None
-        if converged:
-            break
-        for _ in range(tries):
-            trial = tuple(a + step * b for a, b in zip(theta, d))
-            sse = sums.sse(trial) if _valid(*trial) else math.inf
-            if sse <= current:
+        _, s0, f, g, h = here
+        d = direction(s0, g, h)
+        # k = 0 is an iterate only where it is a minimum over k >= 0: stationary.
+        stationary = not d or not k
+        found = False
+        if not stationary:
+            if d > 0.0:  # a step at most doubles k: the model changes on the scale of log k
+                step = min(step, k / d)
+            for _ in range(tries):
+                trial_k = max(0.0, k + step * d)
+                trial, sse = _trial(sums, trial_k)
+                found = sse <= f
+                if found:
+                    break
+                step *= 0.5
+        if not found:
+            if not f < current:
+                # No step improves.  If the smallest one moved the SSE by less than
+                # tol, the iterate is a minimum to within the rounding of the SSE,
+                # which meets the rule; otherwise the loop has failed.
+                converged = stationary or (sse - current) / current < tol
                 break
-            step *= 0.5
-        else:
-            # No damped step improves.  If the smallest one moved the SSE by less
-            # than tol, the best iterate is a minimum to within the rounding of the
-            # SSE, which meets the rule; otherwise the loop has failed.
-            converged = (sse - current) / current < tol
-            break
-        theta, current, step = trial, sse, restart(step)
-        trace.append((k + 1, current))
+            trial_k, trial = k, here  # the inner solve at the starting k
+        k, here, current, step = trial_k, trial, trial[2], restart(step)
+        trace.append((n + 1, current))
 
+    if n:
+        if not here[1]:
+            raise SingularNormalMatrix("the fitted amplitude is 0 (flat data); " + _UNIDENTIFIABLE)
+        if not k:
+            raise SingularNormalMatrix("the best fit is the straight line, at k = 1/tau = 0; " + _UNIDENTIFIABLE)
+        theta = sums.theta(k, here)
     return NlFit(
         params=StepModelParams(*theta),
         sse=current,
-        iterations=k,
+        iterations=n,
         converged=converged,
         trace=tuple(trace),
     )
 
 
-def _normal_step(sums, theta, active) -> list[float]:
-    """Gauss-Newton direction: (J'J) delta = J'r over the ``active`` parameters."""
-    jtj, jtr = sums.normal(theta, active)
-    _require_finite(chain.from_iterable(jtj), "normal matrix entry")
-    delta = [0.0, 0.0, 0.0]
-    for j, dj in zip(active, _solve_normal(jtj, jtr)):
-        delta[j] = dj
-    return delta
-
-
-def _downhill(sums, theta):
-    """Steepest-descent direction, -grad = 2 J'r, or None where the gradient is zero."""
-    d = [2.0 * g for g in sums.jtr(theta)]
-    return d if any(d) else None
+def _gauss_newton_step(s0: float, g: float, h: float) -> float | None:
+    """The Gauss-Newton step in k, g / (s0 h), or None where s0^2 h is 0."""
+    jtj = s0 * h
+    return g / jtj if jtj else None
 
 
 def gauss_newton(
@@ -301,18 +269,18 @@ def gauss_newton(
 ) -> NlFit:
     """Gauss-Newton fit of the step-response model.
 
-    Each iteration solves (J'J) delta = J'r and applies the step with
-    halving damping until the SSE does not increase; stops once the relative
-    SSE decrease falls below ``tol`` or ``max_iter`` is reached.  With
-    ``freeze_tau`` the time constant stays at its initial value, leaving a
-    problem that is linear in (T_0, T_inf) and solved exactly in one step.
+    Each iteration takes the Gauss-Newton step in k = 1/tau of the reduced
+    problem, with Kaufman's Jacobian -s0 q, and halves it up to
+    ``max_halvings`` times until the SSE does not increase; stops once the
+    relative SSE decrease falls below ``tol`` or ``max_iter`` is reached.
+    With ``freeze_tau`` k stays at its initial value: the fit is the inner
+    linear solve for (T_0, T_inf) at the initial tau, in one iteration.
     """
     _require_count("max_halvings", max_halvings, 0)
-    active = (0, 1) if freeze_tau else (0, 1, 2)
     return _descend(
         series, init, max_iter, tol, span=1, tries=max_halvings + 1,
         step=1.0, restart=lambda step: 1.0,
-        direction=lambda sums, theta: _normal_step(sums, theta, active),
+        direction=(lambda s0, g, h: None) if freeze_tau else _gauss_newton_step,
     )
 
 
@@ -327,15 +295,19 @@ def gradient_descent(
 ) -> NlFit:
     """Steepest-descent fit of the step-response model.
 
-    Steps against the SSE gradient with backtracking halving whenever a step
-    would increase the SSE; the accepted step length seeds the next trial
-    (doubled), so the method adapts to the local scale.  Converged means the
-    relative SSE decrease over a ``window``-iteration span fell below ``tol``.
+    Steps k = 1/tau against the derivative of the reduced SSE, 2 s0 g, with
+    backtracking halving whenever a step would increase the SSE; the
+    ``learning_rate`` is the first step length, on k in the kernel's unit,
+    and the accepted step length seeds the next trial (doubled), so the
+    method adapts to the local scale.
+    Converged means the relative SSE decrease over a ``window``-iteration
+    span fell below ``tol``.
     """
     _require_count("window", window, 1)
     if not 0.0 < learning_rate <= _DOUBLE_MAX:
         raise OutOfRange(f"learning_rate={_shown(learning_rate)} must be positive and finite")
     return _descend(
         series, init, max_iter, tol, span=window, tries=60,
-        step=learning_rate, restart=lambda step: step * 2.0, direction=_downhill,
+        step=learning_rate, restart=lambda step: step * 2.0,
+        direction=lambda s0, g, h: 2.0 * s0 * g,
     )

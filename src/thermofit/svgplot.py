@@ -60,6 +60,16 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _labels(ticks: list[float]) -> list[str]:
+    """The ticks written with the fewest significant digits, at least 6 (as
+    ``:g`` writes them), that tell adjacent ticks apart; 17 tell any two apart."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if all(map(str.__ne__, labels, labels[1:])):
+            break
+    return labels
+
+
 def render_plot(
     series: Series,
     fit: LinearFit,
@@ -111,17 +121,19 @@ def render_plot(
     x1, y1 = MARGIN_L + plot_w, MARGIN_T
     axis_d = [f"M {_fmt(x0)} {_fmt(y1)} L {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y0)}"]
     labels = []
-    for tx in _ticks(x_lo, x_hi):
+    ticks = _ticks(x_lo, x_hi)
+    for tx, label in zip(ticks, _labels(ticks)):
         px = sx(tx)
         axis_d.append(f"M {_fmt(px)} {_fmt(y0)} L {_fmt(px)} {_fmt(y0 + 5)}")
         labels.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(y0 + 20)}" text-anchor="middle">{tx:g}</text>'
+            f'<text x="{_fmt(px)}" y="{_fmt(y0 + 20)}" text-anchor="middle">{label}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    ticks = _ticks(y_lo, y_hi)
+    for ty, label in zip(ticks, _labels(ticks)):
         py = sy(ty)
         axis_d.append(f"M {_fmt(x0)} {_fmt(py)} L {_fmt(x0 - 5)} {_fmt(py)}")
         labels.append(
-            f'<text x="{_fmt(x0 - 9)}" y="{_fmt(py + 4)}" text-anchor="end">{ty:g}</text>'
+            f'<text x="{_fmt(x0 - 9)}" y="{_fmt(py + 4)}" text-anchor="end">{label}</text>'
         )
     parts.append(f'<path d="{" ".join(axis_d)}" stroke="#000000" fill="none"/>')
     parts.extend(labels)

@@ -123,6 +123,20 @@ def test_svg_well_formed_for_odd_labels():
     ET.fromstring(svg)  # must parse
 
 
+
+def test_svg_tick_labels_tell_adjacent_ticks_apart():
+    # two hours each minute at Unix-epoch times: 6 digits write the first
+    # three x ticks all as 1.7e+09
+    from thermofit import Series
+
+    series = Series("epoch", [(1.7e9 + 60.0 * i, 20.0 + 0.1 * i) for i in range(120)])
+    root = ET.fromstring(render_plot(series, build_report(series).linear))
+    texts = [el for el in root.iter() if el.tag.endswith("text")]
+    x_labels = [el.text for el in texts if el.get("text-anchor") == "middle" and el.text[0].isdigit()]
+    assert x_labels == ["1.7e+09", "1.700002e+09", "1.700004e+09", "1.700006e+09"]
+    y_labels = [el.text for el in texts if el.get("text-anchor") == "end"]
+    assert y_labels == ["20", "22.5", "25", "27.5", "30", "32.5"]
+
 @pytest.mark.parametrize("axis", list(Axis))
 def test_report_residuals_follow_the_fit_axis(idle_series, axis):
     # x-on-y residuals are horizontal, so their squares sum to the fit's own SSE
