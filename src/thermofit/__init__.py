@@ -39,13 +39,13 @@ _HOME = {
     "classify_fit": "regression",
     "correlation": "regression",
     "default_init": "stepmodel",
-    "gauss_newton": "stepsolve",
-    "gradient_descent": "stepsolve",
-    "jacobian": "stepfit",
+    "gauss_newton": "stepmodel",
+    "gradient_descent": "stepmodel",
+    "jacobian": "stepmodel",
     "junction_temperature": "thermal",
     "max_power": "thermal",
     "model_eval": "stepmodel",
-    "model_sse": "stepsolve",
+    "model_sse": "stepmodel",
     "ols_fit": "regression",
     "parse_csv": "dataset",
     "predict": "regression",
@@ -54,7 +54,7 @@ _HOME = {
     "residuals": "regression",
     "select_heatsink": "thermal",
     "sse": "regression",
-    "sse_gradient": "stepfit",
+    "sse_gradient": "stepmodel",
     "summarize": "regression",
     "to_csv": "dataset",
     "validate": "dataset",

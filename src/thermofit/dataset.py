@@ -250,10 +250,13 @@ def to_csv(series: Series) -> str:
     """Serialize a Series to the CSV format accepted by :func:`parse_csv`.
 
     Floats are written with repr so a round trip reproduces the series
-    field-for-field.
+    field-for-field.  A label that parse_csv would not read back as it is,
+    one with a line break or with whitespace at either end, raises OutOfRange.
     """
     lines = []
     if series.label:
+        if "\n" in series.label or series.label != series.label.strip():
+            raise OutOfRange(f"cannot write the label {series.label!r}: a line break or whitespace at an end")
         lines.append(f"# label: {series.label}")
     if series.power_w is not None:
         try:

@@ -91,7 +91,7 @@ def build_report(
     columns = (xs, ys, tuple(_line(fit, xs)), tuple(_residuals(fit, xs, ys)))
     nl = None
     if nonlinear:
-        from .stepsolve import gauss_newton  # deferred: only a curve fit needs the solvers
+        from .stepmodel import gauss_newton  # deferred: only a curve fit needs the step model
 
         nl = gauss_newton(series, nl_init, max_iter=nl_max_iter)
     return FitReport(series.label, fit, classify_fit(fit.r), nonlinear=nl, _columns=columns)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from html import escape
+from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
 from .errors import _DOUBLE_MAX, OutOfRange
 from .regression import LinearFit, _line
-from .stepmodel import StepModelParams, model_eval
+
+if TYPE_CHECKING:  # the step model is loaded only to draw a curve
+    from .stepmodel import StepModelParams
 
 WIDTH = 720
 HEIGHT = 480
@@ -87,6 +90,8 @@ def render_plot(
     ly0, ly1 = _line(fit, (lx0, lx1))
     y_all = [*ys, ly0, ly1]
     if nl_params is not None:
+        from .stepmodel import model_eval
+
         # the step response is monotone in t, so its extremes on the plotted
         # range sit at the endpoints (t_final_c may lie far outside the plot)
         y_all += [model_eval(nl_params, lx0), model_eval(nl_params, lx1)]

@@ -429,7 +429,7 @@ print("numpy" in sys.modules, code, *sorted(m for m in sys.modules if m.startswi
 """
 
 _LINE = "thermofit.cli thermofit.dataset thermofit.errors thermofit.regression thermofit.report"
-_CURVE = "thermofit.stepmodel thermofit.stepsolve"
+_CURVE = "thermofit.stepmodel"
 
 
 # Each command loads numpy only to fit a curve of at least _ARRAY_MIN samples,
@@ -462,7 +462,7 @@ _CURVE = "thermofit.stepmodel thermofit.stepsolve"
         pytest.param(
             ("plot", "--builtin", "full", "-o", "paper.svg"),
             False,
-            f"{_LINE} thermofit.stepmodel thermofit.svgplot",
+            f"{_LINE} thermofit.svgplot",
             id="plot",
         ),
         # below _ARRAY_MIN samples the step-response fit runs on Python lists
@@ -474,7 +474,7 @@ _CURVE = "thermofit.stepmodel thermofit.stepsolve"
             id="plot-nonlinear",
         ),
         pytest.param(
-            ("fit", "big.csv", "--nonlinear"), True, f"{_LINE} thermofit.stepfit {_CURVE}", id="fit-nonlinear-big-csv"
+            ("fit", "big.csv", "--nonlinear"), True, f"{_LINE} {_CURVE}", id="fit-nonlinear-big-csv"
         ),
     ],
 )

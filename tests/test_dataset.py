@@ -232,6 +232,20 @@ def test_csv_round_trip(series):
     assert parse_csv(to_csv(series)) == series
 
 
+@given(valid_series(), st.text())
+@example(builtin_series("full"), "a\nb")  # parse_csv would read a second line
+@example(builtin_series("full"), " pad ")  # parse_csv would read back "pad"
+@example(builtin_series("full"), "tab\tin\rside")
+def test_to_csv_round_trips_a_label_or_refuses_it(series, label):
+    series = Series(label, zip(series.times, series.temps), series.power_w)
+    try:
+        text = to_csv(series)
+    except OutOfRange as e:
+        assert str(e).startswith(f"cannot write the label {label!r}")
+        return
+    assert parse_csv(text) == series
+
+
 # --- the one-split body and the line-by-line reader ----------------------------------
 
 _pad = st.sampled_from(["", " ", "\t", "  "])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import thermofit
-from thermofit import stepfit
+from thermofit import stepmodel
 
 SOLVER_NAMES = ("gauss_newton", "gradient_descent", "jacobian", "model_sse", "sse_gradient")
 
@@ -21,15 +21,15 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from thermofit import *", namespace)
     assert set(thermofit.__all__) <= set(namespace)
-    assert namespace["gauss_newton"] is stepfit.gauss_newton
+    assert namespace["gauss_newton"] is stepmodel.gauss_newton
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 def test_solver_names_are_the_solver_module_functions(name):
     assert name in thermofit.__all__
     assert name in dir(thermofit)
-    assert getattr(thermofit, name) is getattr(stepfit, name)
-    assert inspect.signature(getattr(thermofit, name)) == inspect.signature(getattr(stepfit, name))
+    assert getattr(thermofit, name) is getattr(stepmodel, name)
+    assert inspect.signature(getattr(thermofit, name)) == inspect.signature(getattr(stepmodel, name))
 
 
 def test_unknown_attribute_raises_attribute_error_naming_it():
@@ -50,12 +50,14 @@ def test_numpy_loads_on_first_use_of_a_solver_name():
     code = (
         "import sys, thermofit\n"
         "before = 'numpy' in sys.modules\n"
-        "thermofit.jacobian\n"
-        "print(before, 'numpy' in sys.modules)"
+        "jacobian = thermofit.jacobian\n"
+        "resolved = 'numpy' in sys.modules\n"
+        "jacobian(thermofit.StepModelParams(20.0, 60.0, 10.0), [0.0, 5.0])\n"
+        "print(before, resolved, 'numpy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_a_short_series_is_fitted_without_numpy():

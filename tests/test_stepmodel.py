@@ -36,10 +36,9 @@ from thermofit.errors import (
     OutOfRange,
     SingularNormalMatrix,
 )
-from thermofit import stepsolve
-from thermofit.stepfit import _ArraySums
+from thermofit import stepmodel
 from thermofit.errors import _ARRAY_MIN
-from thermofit.stepsolve import _ListSums
+from thermofit.stepmodel import _ArraySums, _ListSums
 from thermofit.svgplot import render_plot
 
 from conftest import synth_series
@@ -294,6 +293,9 @@ def test_default_init(full_series):
     assert init.tau_s == pytest.approx((60.0 - 1.0) / 3.0)
     with pytest.raises(EmptySeries):
         default_init(Series("empty", ()))
+    # one sample spans no time, so a third of its span is no time constant
+    with pytest.raises(InsufficientData):
+        default_init(Series("one", [(5.0, 20.0)]))
 
 
 @pytest.mark.parametrize(
@@ -512,7 +514,7 @@ def test_gauss_newton_reaches_the_reduced_optimum(series):
 
 def _fit_with(kernel, series):
     """gauss_newton with the kernel forced, or the SingularNormalMatrix it raises."""
-    with mock.patch.object(stepsolve, "_sums", kernel):
+    with mock.patch.object(stepmodel, "_sums", kernel):
         try:
             return gauss_newton(series)
         except SingularNormalMatrix as e:
@@ -567,7 +569,7 @@ def test_a_fit_that_stops_at_the_rounding_of_its_sse_is_converged(temps, kernel)
 @pytest.mark.parametrize("n,kernel", [(_ARRAY_MIN - 1, _ListSums), (_ARRAY_MIN, _ArraySums)])
 def test_the_kernel_is_chosen_by_the_series_size(n, kernel):
     series = synth_series(20, 60, n / 3, times=[float(t) for t in range(n)])
-    assert type(stepsolve._sums(series)) is kernel
+    assert type(stepmodel._sums(series)) is kernel
 
 
 _REPORT_BYTES = """
