@@ -240,17 +240,27 @@ def _centered(on, xs, ys, ws, axis: Axis | None = None):
     return xbar, ybar, dx, dy, sx, sy, _pearson_from_devs(on, dx, dy, ws, sx, sy)
 
 
-def _regress(on, us, vs, ws, ubar, vbar, du, dv):
-    """Weighted fit of v = m*u + b: (m, b, SSE).  Y_ON_X passes (x, y), X_ON_Y
+def _regress(on, ubar, vbar, du, dv, ws):
+    """Weighted fit of v = m*u + b: (m, b).  Y_ON_X passes (x, y), X_ON_Y
     (y, x); the cross sum (w*du)*dv is order-exact only for unit weights."""
     suu = on.sum(on.mul(on.mul(ws, du), du))
     suv = on.sum(on.mul(on.mul(ws, du), dv))
     if suu < sys.float_info.min:
         raise OutOfRange(f"sum of squared deviations {suu!r} is below the normal double range")
     m = suv / suu
-    b = vbar - m * ubar
-    sse = on.sum(on.mul(ws, on.square(on.off_line(us, vs, m, b))))
-    return m, b, sse
+    return m, vbar - m * ubar
+
+
+def _deviations(on, m, b, axis: Axis, xs, ys):
+    """The deviations of the columns from the line y = m*x + b that an ``axis``
+    fit minimizes, on the backend ``on``: y - (m*x + b) for Y_ON_X, and for
+    X_ON_Y x - (m'*y + b') of the same line as x = m'*y + b', m' = 1/m and
+    b' = -b/m; DegenerateVariance for an X_ON_Y slope of zero."""
+    if axis is Axis.Y_ON_X:
+        return on.off_line(xs, ys, m, b)
+    if m == 0.0:
+        raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
+    return on.off_line(ys, xs, 1.0 / m, -b / m)
 
 
 def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
@@ -275,14 +285,16 @@ def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
         if min(sx, sy) < 2.0**-511:
             raise OutOfRange("deviations too small to square without underflow")
         if axis is Axis.Y_ON_X:
-            m, b, sse = _regress(on, xs, ys, ws, xbar, ybar, dx, dy)
+            m, b = _regress(on, xbar, ybar, dx, dy, ws)
         else:
             # Regress x on y (x = m'y + b'), then re-express as y = mx + b.
-            mp, bp, sse = _regress(on, ys, xs, ws, ybar, xbar, dy, dx)
+            mp, bp = _regress(on, ybar, xbar, dy, dx, ws)
             if mp == 0.0:
                 raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
             m, b = 1.0 / mp, -bp / mp
-    _require_finite((m, b), "fit overflowed")
+        _require_finite((m, b), "fit overflowed")
+        # the SSE of the line as reported, so that residuals() and sse() give it back
+        sse = on.sum(on.mul(ws, on.square(_deviations(on, m, b, axis, xs, ys))))
     return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
 
 
@@ -320,16 +332,10 @@ def predict(fit: LinearFit, x: float) -> float:
 
 
 def _residuals(fit: LinearFit, xs, ys) -> list[float]:
-    """v - (m*u + b) at each point, for the line v = m*u + b that the fit
-    minimized deviations from: y on x, or x on y for an X_ON_Y fit."""
-    if fit.axis is Axis.X_ON_Y and fit.slope == 0.0:
-        raise DegenerateVariance(_ZERO_X_ON_Y_SLOPE)
+    """The deviation at each point that the fit minimized (:func:`_deviations`)."""
     try:
-        if fit.axis is Axis.Y_ON_X:
-            m, b, us, vs = fit.slope, fit.intercept, xs, ys
-        else:
-            m, b, us, vs = 1.0 / fit.slope, -fit.intercept / fit.slope, ys, xs
-        return _require_finite([v - (m * u + b) for u, v in zip(us, vs)], "residual")
+        deviations = _deviations(_LISTS, fit.slope, fit.intercept, fit.axis, xs, ys)
+        return _require_finite(list(deviations), "residual")
     except OverflowError:  # the line or a coordinate holds an int too large for a float
         _require_finite((fit.slope, fit.intercept), "line parameter")
         _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
@@ -346,8 +352,9 @@ def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
 
 
 def sse(fit: LinearFit, points: list[Point]) -> float:
-    """Sum of squared deviations of the points from the fitted line."""
-    return _fsum(d * d for d in residuals(fit, points))
+    """Sum of squared deviations of the points from the fitted line; for an
+    unweighted fit of the same points, exactly ``fit.sse``."""
+    return _fsum(_LISTS.square(residuals(fit, points)))
 
 
 def _correlation(xs, ys) -> float:

@@ -21,7 +21,9 @@ class FitReport:
     predicted is the line's value at x and residual is the deviation the fit
     minimized (``regression.residuals``): observed - predicted for a y-on-x
     fit, the horizontal x - x(observed) for an x-on-y fit.  For an unweighted
-    fit the squared residuals therefore sum to ``linear.sse``.
+    fit ``math.fsum(d ** 2 for d in residuals) == linear.sse`` exactly: the fit
+    squares with ``**`` (the C library's pow), which can differ from ``d * d``
+    in the last bit.
 
     The report stores the table as its four columns; ``residual_table`` is a
     view that rebuilds the rows from them.  A table that is not rows of four

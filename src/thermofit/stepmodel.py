@@ -137,12 +137,14 @@ def _require_count(name: str, value, low: int) -> None:
 def default_init(series: Series) -> StepModelParams:
     """Validate the series; start at its first and last temperatures and a third of its span.
 
-    Raises InsufficientData for a single sample, which spans no time."""
+    Where a third of the span rounds to 0 (a subnormal span), tau starts at the
+    span itself.  Raises InsufficientData for a single sample, which spans no time."""
     _require_valid(series)
     times, temps = series.times, series.temps
     if len(times) < 2:
         raise InsufficientData("a starting guess needs at least 2 samples")
-    return StepModelParams(temps[0], temps[-1], (times[-1] - times[0]) / 3.0)
+    span = times[-1] - times[0]
+    return StepModelParams(temps[0], temps[-1], span / 3.0 or span)
 
 
 # --- the per-sample sums ------------------------------------------------------------

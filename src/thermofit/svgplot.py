@@ -31,25 +31,36 @@ LINE_COLOR = "#d62728"
 CURVE_COLOR = "#2ca02c"
 CURVE_SAMPLES = 200
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+# One %-template per kind of SVG element.  Coordinates go in as %.2f, which
+# writes what f"{v:.2f}" writes; labels and tick text go in as %s arguments.
+_TEXT = '<text x="%.2f" y="%.2f"%s>%s</text>'
+_MIDDLE, _END = ' text-anchor="middle"', ' text-anchor="end"'
+_TITLE = '<text x="%.2f" y="24" text-anchor="middle" font-size="14">%s</text>'
+_Y_TITLE = '<text x="18" y="%.2f" text-anchor="middle" transform="rotate(-90 18 %.2f)">%s</text>'
+_AXES = '<path d="M %.2f %.2f L %.2f %.2f L %.2f %.2f%s" stroke="#000000" fill="none"/>'
+_TICK = " M %.2f %.2f L %.2f %.2f"
+_CIRCLE = f'<circle cx="%.2f" cy="%.2f" r="3.5" fill="{POINT_COLOR}"/>'
+_LINE = f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{LINE_COLOR}" stroke-width="1.5"/>'
+_CURVE = f'<path d="M %s" stroke="{CURVE_COLOR}" stroke-width="1.5" fill="none"/>'
+_VERTEX = "%.2f %.2f"
+_KEY = '<rect x="%.2f" y="%.2f" width="18" height="9" fill="%s"/>'
+_LEGEND = (("observed", POINT_COLOR), ("least-squares line", LINE_COLOR), ("step-response fit", CURVE_COLOR))
 
 
 def _no_ticks(lo: float, hi: float) -> OutOfRange:
     return OutOfRange(f"a plot axis from {lo!r} to {hi!r} has no tick step in double precision")
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 * 10^k step;
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About 6 round tick positions covering [lo, hi] at a 1/2/2.5/5 * 10^k step;
     OutOfRange where the span, or its step, is zero or not finite as a double."""
     span = hi - lo
-    raw = span / target
+    raw = span / 6
     if not (0 < raw <= _DOUBLE_MAX) or not (mag := 10.0 ** math.floor(math.log10(raw))):
         raise _no_ticks(lo, hi)
     step = 10 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if span / (mult * mag) <= target:
+        if span / (mult * mag) <= 6:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
@@ -73,6 +84,24 @@ def _labels(ticks: list[float]) -> list[str]:
     return labels
 
 
+def _padded(lo: float, hi: float, share: float) -> tuple[float, float]:
+    """[lo, hi] widened by ``share`` of its span at each end; a zero span counts as 1."""
+    if hi == lo:
+        hi = lo + 1.0
+    pad = share * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _scale(start: float, end: float, origin: float, length: float):
+    """The map of [start, end] onto [origin, origin + length], applied to a column.
+
+    ``start`` may be the larger end: v - start and end - start are then the exact
+    negatives of start - v and start - end, so the map of [hi, lo] computes
+    origin + (hi - v) / (hi - lo) * length bit for bit."""
+    span = end - start
+    return lambda column: [origin + (v - start) / span * length for v in column]
+
+
 def render_plot(
     series: Series,
     fit: LinearFit,
@@ -85,106 +114,56 @@ def render_plot(
     """
     _require_valid(series)
     xs, ys = series.times, series.temps
-
-    x_lo, x_hi = lx0, lx1 = min(xs), max(xs)
-    ly0, ly1 = _line(fit, (lx0, lx1))
-    y_all = [*ys, ly0, ly1]
+    ends = (min(xs), max(xs))
+    line = _line(fit, ends)
+    y_all = [*ys, *line]
     if nl_params is not None:
         from .stepmodel import model_eval
 
         # the step response is monotone in t, so its extremes on the plotted
         # range sit at the endpoints (t_final_c may lie far outside the plot)
-        y_all += [model_eval(nl_params, lx0), model_eval(nl_params, lx1)]
-    y_lo, y_hi = min(y_all), max(y_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    x_pad = 0.04 * (x_hi - x_lo)
-    y_pad = 0.08 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+        y_all += [model_eval(nl_params, t) for t in ends]
+    x_lo, x_hi = _padded(*ends, 0.04)
+    y_lo, y_hi = _padded(min(y_all), max(y_all), 0.08)
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
-
-    def sx(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y: float) -> float:
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
-
+    left, right, top, bottom = MARGIN_L, MARGIN_L + plot_w, MARGIN_T, MARGIN_T + plot_h
+    sx = _scale(x_lo, x_hi, left, plot_w)
+    sy = _scale(y_hi, y_lo, top, plot_h)  # SVG's y grows downward
+    px, py = sx(x_ticks), sy(y_ticks)
+    # Axes and ticks as a single path so the fit line stays the only <line>.
+    ticks = [_TICK % (p, bottom, p, bottom + 5) for p in px]
+    ticks += [_TICK % (left, p, left - 5, p) for p in py]
+    mid_x, mid_y = left + plot_w / 2, top + plot_h / 2
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="12">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        _AXES % (left, top, left, bottom, right, bottom, "".join(ticks)),
+        *[_TEXT % (p, bottom + 20, _MIDDLE, s) for p, s in zip(px, _labels(x_ticks))],
+        *[_TEXT % (left - 9, p + 4, _END, s) for p, s in zip(py, _labels(y_ticks))],
+        _TEXT % (mid_x, HEIGHT - 18, _MIDDLE, X_LABEL),
+        _Y_TITLE % (mid_y, mid_y, Y_LABEL),
     ]
-
-    # Axes and ticks as a single path so the fit line stays the only <line>.
-    x0, y0 = MARGIN_L, MARGIN_T + plot_h
-    x1, y1 = MARGIN_L + plot_w, MARGIN_T
-    axis_d = [f"M {_fmt(x0)} {_fmt(y1)} L {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y0)}"]
-    labels = []
-    ticks = _ticks(x_lo, x_hi)
-    for tx, label in zip(ticks, _labels(ticks)):
-        px = sx(tx)
-        axis_d.append(f"M {_fmt(px)} {_fmt(y0)} L {_fmt(px)} {_fmt(y0 + 5)}")
-        labels.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(y0 + 20)}" text-anchor="middle">{label}</text>'
-        )
-    ticks = _ticks(y_lo, y_hi)
-    for ty, label in zip(ticks, _labels(ticks)):
-        py = sy(ty)
-        axis_d.append(f"M {_fmt(x0)} {_fmt(py)} L {_fmt(x0 - 5)} {_fmt(py)}")
-        labels.append(
-            f'<text x="{_fmt(x0 - 9)}" y="{_fmt(py + 4)}" text-anchor="end">{label}</text>'
-        )
-    parts.append(f'<path d="{" ".join(axis_d)}" stroke="#000000" fill="none"/>')
-    parts.extend(labels)
-
-    cx, cy = MARGIN_L + plot_w / 2, HEIGHT - 18
-    parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle">{X_LABEL}</text>')
-    parts.append(
-        f'<text x="18" y="{_fmt(MARGIN_T + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_T + plot_h / 2)})">{Y_LABEL}</text>'
-    )
     if series.label:
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="24" text-anchor="middle" font-size="14">'
-            f"{escape(series.label, quote=False)}</text>"
-        )
+        parts.append(_TITLE % (mid_x, escape(series.label, quote=False)))
+    parts += map(_CIRCLE.__mod__, zip(sx(xs), sy(ys)))
+    (x1, x2), (y1, y2) = sx(ends), sy(line)
+    parts.append(_LINE % (x1, y1, x2, y2))
 
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="{POINT_COLOR}"/>'
-        )
-
-    parts.append(
-        f'<line x1="{_fmt(sx(lx0))}" y1="{_fmt(sy(ly0))}" '
-        f'x2="{_fmt(sx(lx1))}" y2="{_fmt(sy(ly1))}" '
-        f'stroke="{LINE_COLOR}" stroke-width="1.5"/>'
-    )
-
+    legend = _LEGEND[:2]
     if nl_params is not None:
-        d = []
-        for i in range(CURVE_SAMPLES + 1):
-            x = lx0 + (lx1 - lx0) * i / CURVE_SAMPLES
-            cmd = "M" if i == 0 else "L"
-            d.append(f"{cmd} {_fmt(sx(x))} {_fmt(sy(model_eval(nl_params, x)))}")
-        parts.append(
-            f'<path d="{" ".join(d)}" stroke="{CURVE_COLOR}" stroke-width="1.5" fill="none"/>'
-        )
-
-    legend = [("observed", POINT_COLOR), ("least-squares line", LINE_COLOR)]
-    if nl_params is not None:
-        legend.append(("step-response fit", CURVE_COLOR))
-    ly = MARGIN_T + 10
-    for name, color_ in legend:
-        lx = MARGIN_L + plot_w - 170
-        parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(ly - 9)}" width="18" height="9" fill="{color_}"/>')
-        parts.append(f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}">{name}</text>')
-        ly += 18
-
+        lo, hi = ends
+        ts = [lo + (hi - lo) * i / CURVE_SAMPLES for i in range(CURVE_SAMPLES + 1)]
+        vertices = zip(sx(ts), sy([model_eval(nl_params, t) for t in ts]))
+        parts.append(_CURVE % " L ".join(map(_VERTEX.__mod__, vertices)))
+        legend = _LEGEND
+    key_x = right - 170
+    for i, (name, color) in enumerate(legend):
+        y = top + 10 + 18 * i
+        parts += [_KEY % (key_x, y - 9, color), _TEXT % (key_x + 24, y, "", name)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

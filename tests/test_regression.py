@@ -217,6 +217,22 @@ def test_sse_examples():
     assert fit.sse == pytest.approx(sse(fit, IDLE_PTS), rel=1e-12)
 
 
+_coordinate = st.floats(-1e3, 1e3) | st.integers(-1000, 1000).map(float)
+
+
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=2, max_size=40), st.sampled_from(Axis))
+@example([(4.0, 29.0), (8.0, 10.0), (16.0, 49.0)], Axis.Y_ON_X)  # sse() squared by d*d: 423.5
+@example([(2.0, 36.0), (3.0, 16.0), (4.0, 31.0)], Axis.X_ON_Y)  # fit.sse was of (m', b'), not 1/m
+def test_an_unweighted_fit_reports_the_sse_of_its_own_residuals(points, axis):
+    try:
+        fit = ols_fit(points, axis)
+    except ThermofitError:
+        assume(False)
+    assert sse(fit, points) == fit.sse
+    # the identity that README states: squares as ** takes them, summed exactly
+    assert math.fsum(d**2 for d in residuals(fit, points)) == fit.sse
+
+
 # --- correlation / classify ----------------------------------------------------
 
 

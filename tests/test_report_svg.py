@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from thermofit import (
     Axis,
+    Series,
     StepModelParams,
     build_report,
+    builtin_series,
     predict,
     render_json,
     render_text,
@@ -136,6 +141,56 @@ def test_svg_tick_labels_tell_adjacent_ticks_apart():
     assert x_labels == ["1.7e+09", "1.700002e+09", "1.700004e+09", "1.700006e+09"]
     y_labels = [el.text for el in texts if el.get("text-anchor") == "end"]
     assert y_labels == ["20", "22.5", "25", "27.5", "30", "32.5"]
+
+
+def _svg_case(name):
+    """(series, step-model parameters or None) of a named plot."""
+    if name in ("full", "idle", "full-curve"):
+        series = builtin_series(name.split("-")[0])
+        return series, build_report(series, nonlinear=True).nonlinear.params if name == "full-curve" else None
+    if name == "odd-label":
+        return Series("a<b>&\"c\"", [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]), None
+    if name == "epoch":
+        return Series("epoch", [(1.7e9 + 60.0 * i, 20.0 + 0.1 * i) for i in range(120)]), None
+    # a 1 Hz warm-up of 5000 samples, with a curve given rather than fitted, so
+    # that the bytes do not hang on the array kernel's CPU-dependent last digits
+    rng = random.Random(19)
+    temps = [60.0 - 40.0 * math.exp(-t / 1500.0) + rng.uniform(-0.3, 0.3) for t in range(5000)]
+    return Series("step", zip(map(float, range(5000)), temps)), StepModelParams(20.0, 60.0, 1500.0)
+
+
+# sha256 of each plot's SVG text in UTF-8: the same input gives the same bytes,
+# and a refactor of the renderer keeps them
+_SVG_SHA256 = {
+    "full": "9b49469c3688a333d86c079670d2305a24b7adc57b177d499ececd5086a55b6f",
+    "idle": "a7741f5a8f0c94823369a6318d9b92ce737c7ee850bf7b22407af7b1ee1bd28a",
+    "full-curve": "86be272677040f73dc0c6e319036f96066b742478513338cbc96840a4ef16d9f",
+    "odd-label": "6a17334a37fc9356e7f3d58828cf0eba25817d5b54b246e26617cffa4c7d8374",
+    "epoch": "269e932f28fca0a9f052e0637760bdb1e06a7a9c6c74bccaf54720686791fb62",
+    "step-5000-curve": "e30e13a15ee894b59d3e94a9e5ce2f3b286f8022129723084b695b77d6202251",
+}
+
+
+@pytest.mark.parametrize("name", list(_SVG_SHA256))
+def test_svg_bytes_are_pinned(name):
+    series, nl_params = _svg_case(name)
+    svg = render_plot(series, build_report(series).linear, nl_params)
+    assert hashlib.sha256(svg.encode()).hexdigest() == _SVG_SHA256[name]
+
+
+@given(st.floats() | st.integers(-(10**308), 10**308))
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-2.5e-310)
+@example(0.005)  # halfway cases round as the double they are
+@example(-0.125)
+def test_percent_2f_writes_what_format_2f_writes(v):
+    # the templates write coordinates with %.2f; the pinned bytes are f"{v:.2f}"'s
+    assert "%.2f" % v == f"{v:.2f}"
+
 
 @pytest.mark.parametrize("axis", list(Axis))
 def test_report_residuals_follow_the_fit_axis(idle_series, axis):

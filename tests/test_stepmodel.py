@@ -298,6 +298,21 @@ def test_default_init(full_series):
         default_init(Series("one", [(5.0, 20.0)]))
 
 
+_sample_times = st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, 1e-323, 2.5e-323])
+
+
+@given(
+    st.lists(_sample_times, min_size=2, max_size=20, unique=True).map(sorted).flatmap(
+        lambda ts: st.lists(st.floats(-273.15, 1e4), min_size=len(ts), max_size=len(ts)).map(
+            lambda ys: Series("s", zip(ts, ys))
+        )
+    )
+)
+@example(Series("tiny", [(0.0, 20.0), (5e-324, 30.0)]))  # a third of the span rounded to tau = 0
+def test_default_init_is_a_start_the_model_takes(series):
+    assert math.isfinite(model_sse(default_init(series), series))
+
+
 @pytest.mark.parametrize(
     "solver,option,value",
     [
