@@ -116,8 +116,8 @@ def _fsum(terms) -> float:
 # same result bit for bit, and the same error from the same check.
 #
 # On lists, a step that a sum consumes is a lazy map, so that an OverflowError
-# of Python's ** surfaces inside _fsum, as OutOfRange; a centered column, which
-# the fit reads several times, is a list.
+# of Python's ** surfaces inside _fsum, as OutOfRange; a centered column and the
+# deviations from the line, which are read more than once, are lists.
 _LISTS = SimpleNamespace(
     quiet=nullcontext,
     sum=_fsum,
@@ -127,7 +127,8 @@ _LISTS = SimpleNamespace(
     square=lambda a: map(pow, a, repeat(2.0)),
     minus=lambda a, c: [v - c for v in a],
     absmax=lambda a: max(map(abs, a)),
-    off_line=lambda us, vs, m, b: map(lambda u, v: v - (m * u + b), us, vs),
+    off_line=lambda us, vs, m, b: [v - (m * u + b) for u, v in zip(us, vs)],
+    listed=list,
 )
 
 
@@ -144,35 +145,22 @@ def _arrays(np) -> SimpleNamespace:
         minus=operator.sub,
         absmax=lambda a: float(np.abs(a).max()),
         off_line=lambda us, vs, m, b: vs - (m * us + b),
+        listed=lambda a: a.tolist(),
     )
-
-
-def _vector(np, values):
-    """``values`` as a float64 array, or None unless numpy reads them as floats
-    or ints, which it converts as float() does, and every one is finite."""
-    try:
-        a = np.array(values)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if a.ndim != 1 or a.dtype.kind not in "fi":
-        return None
-    a = a.astype(float)
-    return a if np.isfinite(a).all() else None
 
 
 def _backend(xs, ys, weights=None, arrays: bool = False):
     """The steps to compute on and the columns x, y and w in their form: numpy
-    arrays with ``arrays`` where numpy reads every column as finite floats or
-    ints, else lists of floats, OutOfRange at the first coordinate that is not
-    finite.  No weights are weights of 1.0; given weights must be checked."""
+    float64 arrays with ``arrays``, else lists of floats.  Every coordinate is
+    checked first, OutOfRange at the first that is not finite, so both forms
+    hold the same values.  No weights are weights of 1.0; given weights must
+    be checked."""
+    _require_finite(chain(xs, ys), "non-finite coordinate")
     if arrays:
         import numpy as np  # deferred: only a fit on arrays needs numpy
 
-        x, y = _vector(np, xs), _vector(np, ys)
-        w = np.ones(len(xs)) if weights is None else _vector(np, weights)
-        if x is not None and y is not None and w is not None:
-            return _arrays(np), x, y, w
-    _require_finite(chain(xs, ys), "non-finite coordinate")
+        w = np.ones(len(xs)) if weights is None else np.array(weights, dtype=float)
+        return _arrays(np), np.array(xs, dtype=float), np.array(ys, dtype=float), w
     ws = [1.0] * len(xs) if weights is None else list(map(float, weights))
     return _LISTS, list(map(float, xs)), list(map(float, ys)), ws
 
@@ -263,11 +251,14 @@ def _deviations(on, m, b, axis: Axis, xs, ys):
     return on.off_line(ys, xs, 1.0 / m, -b / m)
 
 
-def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
+def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> tuple[LinearFit, list[float]]:
     """Least-squares line through the columns xs, ys in y = mx + b form, weighted
     unless ``weights`` is None; equal weights give the unweighted fit bit for bit.
-    With ``arrays`` the steps run on numpy arrays where :func:`_backend` can
-    take them, with the same result bit for bit."""
+    Returns the fit and, as a list, the deviations its SSE squared, the
+    residuals of :func:`_residuals`.  With ``arrays`` the steps run on numpy
+    arrays, with the same result bit for bit.  The weights are read once, so
+    an iterator works too."""
+    weights = None if weights is None else list(weights)
     if not xs:
         raise EmptyInput("cannot fit an empty point list")
     if len(xs) < 2:
@@ -294,8 +285,9 @@ def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> LinearFit:
             m, b = 1.0 / mp, -bp / mp
         _require_finite((m, b), "fit overflowed")
         # the SSE of the line as reported, so that residuals() and sse() give it back
-        sse = on.sum(on.mul(ws, on.square(_deviations(on, m, b, axis, xs, ys))))
-    return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs))
+        deviations = _deviations(on, m, b, axis, xs, ys)
+        sse = on.sum(on.mul(ws, on.square(deviations)))
+    return LinearFit(slope=m, intercept=b, axis=axis, r=r, sse=sse, n=len(xs)), on.listed(deviations)
 
 
 def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
@@ -304,7 +296,7 @@ def ols_fit(points: list[Point], axis: Axis = Axis.Y_ON_X) -> LinearFit:
     Y_ON_X minimizes vertical deviations, X_ON_Y horizontal ones; an X_ON_Y
     result is re-expressed in y = mx + b form.
     """
-    return _fit(*_columns(points), None, axis)
+    return _fit(*_columns(points), None, axis)[0]
 
 
 def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
@@ -313,17 +305,16 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
     The reported ``r`` is the weighted correlation and ``sse`` the weighted
     objective; with equal weights both reduce to their OLS values.
     """
-    return _fit(*_columns(points), weights, Axis.Y_ON_X)
+    return _fit(*_columns(points), weights, Axis.Y_ON_X)[0]
 
 
 def _line(fit: LinearFit, xs) -> list[float]:
-    """The fitted line at each of ``xs``, all finite or OutOfRange."""
-    try:
-        return _require_finite([fit.slope * x + fit.intercept for x in xs], "predicted value")
-    except OverflowError:  # the line or an x holds an int too large for a float
-        _require_finite((fit.slope, fit.intercept), "line parameter")
-        _require_finite(xs, "x")
-        raise
+    """The fitted line at each of the sequence ``xs``.  The slope and intercept
+    are checked first ("line parameter"), then each x ("x"), then each value
+    the line takes ("predicted value"): OutOfRange at the first that is not
+    finite."""
+    m, b = _require_finite((fit.slope, fit.intercept), "line parameter")
+    return _require_finite([m * x + b for x in _require_finite(xs, "x")], "predicted value")
 
 
 def predict(fit: LinearFit, x: float) -> float:
@@ -332,14 +323,14 @@ def predict(fit: LinearFit, x: float) -> float:
 
 
 def _residuals(fit: LinearFit, xs, ys) -> list[float]:
-    """The deviation at each point that the fit minimized (:func:`_deviations`)."""
-    try:
-        deviations = _deviations(_LISTS, fit.slope, fit.intercept, fit.axis, xs, ys)
-        return _require_finite(list(deviations), "residual")
-    except OverflowError:  # the line or a coordinate holds an int too large for a float
-        _require_finite((fit.slope, fit.intercept), "line parameter")
-        _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
-        raise
+    """The deviation at each point of the sequences ``xs``, ``ys`` that the fit
+    minimized (:func:`_deviations`).  The slope and intercept are checked first
+    ("line parameter"), then the coordinates, x before y at each point
+    ("non-finite coordinate"), then each deviation ("residual"): OutOfRange at
+    the first that is not finite."""
+    m, b = _require_finite((fit.slope, fit.intercept), "line parameter")
+    _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
+    return _require_finite(_deviations(_LISTS, m, b, fit.axis, xs, ys), "residual")
 
 
 def residuals(fit: LinearFit, points: list[Point]) -> list[float]:

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
 from .errors import _ARRAY_MIN, _GN_MAX_ITER
-from .regression import Axis, FitClass, LinearFit, _fit, _line, _residuals, classify_fit
+from .regression import Axis, FitClass, LinearFit, _fit, _line, classify_fit
 
 if TYPE_CHECKING:  # the step model is loaded only by a curve fit
     from .stepmodel import NlFit, StepModelParams
@@ -89,8 +89,9 @@ def build_report(
     xs, ys = series.times, series.temps
     # numpy is loaded only where the curve fit loads it anyway
     arrays = nonlinear and len(xs) >= _ARRAY_MIN
-    fit = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, arrays)
-    columns = (xs, ys, tuple(_line(fit, xs)), tuple(_residuals(fit, xs, ys)))
+    # the residual column is the deviations whose squares the fit summed
+    fit, deviations = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, arrays)
+    columns = (xs, ys, tuple(_line(fit, xs)), tuple(deviations))
     nl = None
     if nonlinear:
         from .stepmodel import gauss_newton  # deferred: only a curve fit needs the step model

@@ -1,5 +1,9 @@
 import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -9,6 +13,8 @@ from thermofit import (
     Axis,
     FitClass,
     LinearFit,
+    build_report,
+    builtin_series,
     classify_fit,
     correlation,
     ols_fit,
@@ -556,13 +562,26 @@ def test_wls_weight_outside_the_double_range_is_refused(w):
         wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [w, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "container", [list, tuple, iter, lambda ws: (w for w in ws)], ids=["list", "tuple", "iter", "generator"]
+)
+def test_weights_are_read_once(container):
+    # an iterator or a generator of weights raised an untyped TypeError from len()
+    pts, ws = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (3.0, 4.5)], [1.0, 2.0, 0.5, 3.0]
+    assert _outcome(lambda: wls_fit(pts, container(ws))) == _outcome(lambda: wls_fit(pts, ws))
+    with pytest.raises(LengthMismatch, match="3 weights for 4 points"):
+        wls_fit(pts, container(ws[:3]))
+    full, ws = builtin_series("full"), [1.0 + i / 8 for i in range(13)]
+    assert build_report(full, weights=container(ws)) == build_report(full, weights=ws)
+
+
 @pytest.mark.parametrize("w", [1e-170, 1e-300, 1e200, 1e300])
 @pytest.mark.parametrize("arrays", [False, True], ids=["python", "arrays"])
 def test_wls_r_of_equal_weights_far_from_1_is_the_unweighted_r(w, arrays):
     # the product of the two weighted sums of squares underflowed (an untyped
     # ZeroDivisionError) or overflowed (r came back 0.0)
     xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]
-    fit = _fit(xs, ys, [w] * 3, Axis.Y_ON_X, arrays)
+    fit = _fit(xs, ys, [w] * 3, Axis.Y_ON_X, arrays)[0]
     assert fit.r == pytest.approx(ols_fit(zip(xs, ys)).r, rel=1e-14)
 
 
@@ -596,6 +615,23 @@ def test_a_line_parameter_too_large_for_a_float_is_out_of_range(fit, call):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: predict(LinearFit(math.nan, 1.0, Axis.Y_ON_X, 0.5, 0.0, 2), 1.0), "line parameter: nan"),
+        (lambda: predict(_LINE_FITS[0], math.inf), "x: inf"),
+        (lambda: residuals(_LINE_FITS[0], [(math.nan, 1.0)]), "non-finite coordinate: nan"),
+        (lambda: sse(_LINE_FITS[0], [(1.0, math.inf)]), "non-finite coordinate: inf"),
+    ],
+    ids=["predict-slope", "predict-x", "residuals-x", "sse-y"],
+)
+def test_a_line_or_a_coordinate_that_is_not_finite_is_named(call, message):
+    # each was found only in the value computed from it: "predicted value: nan"
+    # or "residual: nan"
+    with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda fit: residuals(fit, [(0.0, 1.0)]),
@@ -613,11 +649,14 @@ def test_residuals_of_a_zero_x_on_y_slope_are_degenerate(call):
 
 
 def _outcome(call):
-    """The float.hex of every number a core returns, or its error type and message."""
+    """The float.hex of every number a core returns, or its error type and message;
+    for ``_fit``, those of the fit and of its deviations."""
     try:
         result = call()
     except Exception as e:  # the Python core's untyped errors must match too
         return type(e), str(e)
+    if isinstance(result, tuple):
+        return tuple(_outcome(lambda: part) for part in result)
     if isinstance(result, LinearFit):
         return [float.hex(v) for v in (result.slope, result.intercept, result.r, result.sse)], result.n
     return [float.hex(v) for v in result]
@@ -684,14 +723,25 @@ def test_the_array_path_squares_as_python_does():
 _BOTH_AXES_AND_WEIGHTED = [(False, Axis.Y_ON_X), (False, Axis.X_ON_Y), (True, Axis.Y_ON_X)]
 
 
+# Columns that numpy does not read as floats by default: ints above 2**63,
+# Fractions and Decimals; each converts as float() converts it.
+_OBJECT_COLUMNS = {
+    "floats": (FULL_XS, FULL_YS),
+    "big-ints": ([2**64 + int(x) * 2**58 + 1 for x in FULL_XS], FULL_YS),
+    "fractions": ([Fraction(int(x), 3) for x in FULL_XS], [Fraction(y) / 7 for y in FULL_YS]),
+    "decimals": (FULL_XS, [Decimal(y) / 7 for y in FULL_YS]),
+}
+
+
 def test_the_array_path_computes_where_the_python_core_does():
     # the property above would hold trivially if a fit on arrays took the lists:
-    # with the list backend gone, it must still fit, and as the lists do
-    for weighted, axis in _BOTH_AXES_AND_WEIGHTED:
-        ws = [2.0] * len(FULL_XS) if weighted else None
+    # with the list backend gone, it must still fit, and as the lists do (ints
+    # above 2**63, Fractions and Decimals fell back to the lists)
+    for (xs, ys), (weighted, axis) in product(_OBJECT_COLUMNS.values(), _BOTH_AXES_AND_WEIGHTED):
+        ws = [Fraction(2)] * len(xs) if weighted else None
         with mock.patch.object(regression, "_LISTS", None):
-            fit = _fit(FULL_XS, FULL_YS, ws, axis, arrays=True)
-        assert fit == _fit(FULL_XS, FULL_YS, ws, axis)
+            on_arrays = _outcome(lambda: _fit(xs, ys, ws, axis, arrays=True))
+        assert isinstance(on_arrays[0][0], list) and on_arrays == _outcome(lambda: _fit(xs, ys, ws, axis))
 
 
 @pytest.mark.parametrize("weighted, axis", _BOTH_AXES_AND_WEIGHTED, ids=["y-on-x", "x-on-y", "weighted"])
@@ -702,4 +752,4 @@ def test_the_two_backends_agree_at_logger_size(weighted, axis):
     ys = [60.0 - 40.0 * math.exp(-t / 1500.0) + rng.gauss(0.0, 0.3) for t in xs]
     ws = [rng.uniform(0.5, 2.0) for _ in xs] if weighted else None
     on_arrays, on_lists = (_outcome(lambda: _fit(xs, ys, ws, axis, arrays)) for arrays in (True, False))
-    assert isinstance(on_arrays[0], list) and on_arrays == on_lists
+    assert isinstance(on_arrays[0][0], list) and on_arrays == on_lists

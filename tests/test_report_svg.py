@@ -13,11 +13,13 @@ from thermofit import (
     StepModelParams,
     build_report,
     builtin_series,
+    model_eval,
     predict,
     render_json,
     render_text,
     residuals,
 )
+from thermofit.errors import _ARRAY_MIN
 from thermofit.svgplot import render_plot
 
 
@@ -202,3 +204,27 @@ def test_report_residuals_follow_the_fit_axis(idle_series, axis):
     assert list(predicted) == [predict(fit, x) for x, _ in points]
     assert list(resid) == residuals(fit, points)
     assert math.fsum(d * d for d in resid) == pytest.approx(fit.sse, rel=1e-12)
+
+
+def _table_hexes(report):
+    fit = report.linear
+    return [float.hex(v) for v in (fit.slope, fit.intercept, fit.r, fit.sse)], [
+        list(map(float.hex, row)) for row in report.residual_table
+    ]
+
+
+_TABLE_CASES = {"y-on-x": (Axis.Y_ON_X, False), "x-on-y": (Axis.X_ON_Y, False), "weighted": (Axis.Y_ON_X, True)}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_the_report_table_on_arrays_is_the_table_on_lists(case):
+    # from _ARRAY_MIN samples a report with the curve fit fits its line on numpy
+    # arrays, and one without it on lists; the residual column is the fit's own
+    axis, weighted = _TABLE_CASES[case]
+    rng, p = random.Random(20), StepModelParams(20.0, 60.0, _ARRAY_MIN / 4)
+    series = Series("noisy", [(float(t), model_eval(p, t) + rng.gauss(0.0, 0.3)) for t in range(_ARRAY_MIN)])
+    ws = [1 + (i % 7) / 8 for i in range(_ARRAY_MIN)] if weighted else None
+    on_arrays = build_report(series, axis, ws, nonlinear=True)
+    assert _table_hexes(on_arrays) == _table_hexes(build_report(series, axis, ws))
+    if not weighted:
+        assert math.fsum(d**2 for *_, d in on_arrays.residual_table) == on_arrays.linear.sse

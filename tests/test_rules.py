@@ -94,9 +94,9 @@ _CALLS = {
     "gauss_newton": lambda v: gauss_newton(_STEP, _params(v), max_iter=20),
     "gradient_descent": lambda v: gradient_descent(_STEP, _params(v), max_iter=20),
     # the line fit on numpy arrays
-    "_fit-arrays": lambda v: _fit(v[0::2], v[1::2], None, Axis.Y_ON_X, arrays=True),
-    "_fit-arrays-x-on-y": lambda v: _fit(v[0::2], v[1::2], None, Axis.X_ON_Y, arrays=True),
-    "_fit-arrays-weighted": lambda v: _fit(v[0::2], v[1::2], [1.0, 2.0, 3.0], Axis.Y_ON_X, arrays=True),
+    "_fit-arrays": lambda v: _fit(v[0::2], v[1::2], None, Axis.Y_ON_X, arrays=True)[0],
+    "_fit-arrays-x-on-y": lambda v: _fit(v[0::2], v[1::2], None, Axis.X_ON_Y, arrays=True)[0],
+    "_fit-arrays-weighted": lambda v: _fit(v[0::2], v[1::2], [1.0, 2.0, 3.0], Axis.Y_ON_X, arrays=True)[0],
 }
 
 _EDGES = [10**400, -(10**400), 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0]
