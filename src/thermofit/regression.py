@@ -310,10 +310,10 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
 
 def _line(fit: LinearFit, xs) -> list[float]:
     """The fitted line at each of the sequence ``xs``.  The slope and intercept
-    are checked first ("line parameter"), then each x ("x"), then each value
-    the line takes ("predicted value"): OutOfRange at the first that is not
-    finite."""
-    m, b = _require_finite((fit.slope, fit.intercept), "line parameter")
+    are checked first ("line parameter") and taken as floats, then each x
+    ("x"), then each value the line takes ("predicted value"): OutOfRange at
+    the first that is not finite."""
+    m, b = map(float, _require_finite((fit.slope, fit.intercept), "line parameter"))
     return _require_finite([m * x + b for x in _require_finite(xs, "x")], "predicted value")
 
 
@@ -325,10 +325,10 @@ def predict(fit: LinearFit, x: float) -> float:
 def _residuals(fit: LinearFit, xs, ys) -> list[float]:
     """The deviation at each point of the sequences ``xs``, ``ys`` that the fit
     minimized (:func:`_deviations`).  The slope and intercept are checked first
-    ("line parameter"), then the coordinates, x before y at each point
-    ("non-finite coordinate"), then each deviation ("residual"): OutOfRange at
-    the first that is not finite."""
-    m, b = _require_finite((fit.slope, fit.intercept), "line parameter")
+    ("line parameter") and taken as floats, then the coordinates, x before y
+    at each point ("non-finite coordinate"), then each deviation ("residual"):
+    OutOfRange at the first that is not finite."""
+    m, b = map(float, _require_finite((fit.slope, fit.intercept), "line parameter"))
     _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
     return _require_finite(_deviations(_LISTS, m, b, fit.axis, xs, ys), "residual")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
-from .errors import _ARRAY_MIN, _GN_MAX_ITER
+from .errors import _ARRAY_MIN, _GN_MAX_ITER, OutOfRange
 from .regression import Axis, FitClass, LinearFit, _fit, _line, classify_fit
 
 if TYPE_CHECKING:  # the step model is loaded only by a curve fit
@@ -81,16 +81,19 @@ def build_report(
 ) -> FitReport:
     """Validate a series, fit it and assemble the report.
 
-    With ``weights`` the linear fit is weighted (y-on-x only); with
-    ``nonlinear`` a Gauss-Newton step-response fit is attached, which
-    imports numpy for a series of at least ``_ARRAY_MIN`` samples.
+    With ``weights`` the linear fit is weighted, which only a y-on-x fit
+    may be (OutOfRange for an x-on-y one); with ``nonlinear`` a Gauss-Newton
+    step-response fit is attached, which imports numpy for a series of at
+    least ``_ARRAY_MIN`` samples.
     """
     _require_valid(series)
+    if weights is not None and axis is not Axis.Y_ON_X:
+        raise OutOfRange("weights apply to the y-on-x fit only")
     xs, ys = series.times, series.temps
     # numpy is loaded only where the curve fit loads it anyway
     arrays = nonlinear and len(xs) >= _ARRAY_MIN
     # the residual column is the deviations whose squares the fit summed
-    fit, deviations = _fit(xs, ys, weights, axis if weights is None else Axis.Y_ON_X, arrays)
+    fit, deviations = _fit(xs, ys, weights, axis, arrays)
     columns = (xs, ys, tuple(_line(fit, xs)), tuple(deviations))
     nl = None
     if nonlinear:

@@ -27,9 +27,11 @@ One rule, tested once per SSE, stops both: converged when the SSE is 0 or
 its relative decrease over the last ``span`` iterations falls below ``tol``
 (``span`` is 1 for Gauss-Newton, ``window`` for steepest descent).  One rule
 refuses both a fit that does not determine tau: SingularNormalMatrix when
-the fitted amplitude s0 is 0 (flat data) or the fit ends at k = 0 (the
-straight line).  Only the per-sample sums come from a kernel chosen by the
-series' size: exact ``math.fsum`` sums over Python lists below
+the fitted amplitude s0 is 0 (flat data), when the fit ends at k = 0 (the
+straight line), or when it converges above the SSE at k = 0 where k = 0 is
+a minimum over k >= 0 (the line is the better fit).  Only the per-sample
+sums come from a kernel chosen by the series' size: exact ``math.fsum``
+sums over Python lists below
 ``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays from it.
 Every function here refuses an invalid series (checked once per Series
 object) or parameters, the solvers refuse out-of-range options, and a result
@@ -394,7 +396,9 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     if n:
         if not here[1]:
             raise SingularNormalMatrix("the fitted amplitude is 0 (flat data); " + _UNIDENTIFIABLE)
-        if not k:
+        # k = 0 is the straight line, one member of the family: a converged fit
+        # above the line's SSE, where k = 0 is a minimum, did not find the best
+        if not k or (converged and current > _trial(sums, 0.0)[1]):
             raise SingularNormalMatrix("the best fit is the straight line, at k = 1/tau = 0; " + _UNIDENTIFIABLE)
         theta = sums.theta(k, here)
     return NlFit(

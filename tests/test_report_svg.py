@@ -12,14 +12,13 @@ from thermofit import (
     Series,
     StepModelParams,
     build_report,
-    builtin_series,
     model_eval,
     predict,
     render_json,
     render_text,
     residuals,
 )
-from thermofit.errors import _ARRAY_MIN
+from thermofit.errors import _ARRAY_MIN, OutOfRange
 from thermofit.svgplot import render_plot
 
 
@@ -90,6 +89,12 @@ def test_report_respects_axis(idle_series):
     assert rep.linear.axis is Axis.X_ON_Y
 
 
+def test_a_report_refuses_weights_for_an_x_on_y_fit(idle_series):
+    # only the y-on-x fit is weighted, as the CLI's E_USAGE line for the same request says
+    with pytest.raises(OutOfRange, match="^weights apply to the y-on-x fit only$"):
+        build_report(idle_series, Axis.X_ON_Y, [1.0] * len(idle_series.times))
+
+
 def test_svg_structure(full_series):
     report = build_report(full_series)
     svg = render_plot(full_series, report.linear)
@@ -147,9 +152,6 @@ def test_svg_tick_labels_tell_adjacent_ticks_apart():
 
 def _svg_case(name):
     """(series, step-model parameters or None) of a named plot."""
-    if name in ("full", "idle", "full-curve"):
-        series = builtin_series(name.split("-")[0])
-        return series, build_report(series, nonlinear=True).nonlinear.params if name == "full-curve" else None
     if name == "odd-label":
         return Series("a<b>&\"c\"", [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]), None
     if name == "epoch":
@@ -162,11 +164,9 @@ def _svg_case(name):
 
 
 # sha256 of each plot's SVG text in UTF-8: the same input gives the same bytes,
-# and a refactor of the renderer keeps them
+# and a refactor of the renderer keeps them.  The plots of the builtin series
+# are rows of tests/cli_contract.txt.
 _SVG_SHA256 = {
-    "full": "9b49469c3688a333d86c079670d2305a24b7adc57b177d499ececd5086a55b6f",
-    "idle": "a7741f5a8f0c94823369a6318d9b92ce737c7ee850bf7b22407af7b1ee1bd28a",
-    "full-curve": "86be272677040f73dc0c6e319036f96066b742478513338cbc96840a4ef16d9f",
     "odd-label": "6a17334a37fc9356e7f3d58828cf0eba25817d5b54b246e26617cffa4c7d8374",
     "epoch": "269e932f28fca0a9f052e0637760bdb1e06a7a9c6c74bccaf54720686791fb62",
     "step-5000-curve": "e30e13a15ee894b59d3e94a9e5ce2f3b286f8022129723084b695b77d6202251",

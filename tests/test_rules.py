@@ -8,6 +8,7 @@
 """
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -117,6 +118,8 @@ def _numbers_in(result):
 @example(values=[20.0, 60.0, 1e-320, 5.0, 10.0, 15.0])  # NaN in the Jacobian; LinAlgError in gauss_newton
 @example(values=[10**400, 21.0, 2.0, 22.0, 3.0, 10.0])  # OverflowError: int too large to convert to float
 @example(values=[1e-170, 1e-170, 1e-170, 0.0, 1.0, 3.0])  # ZeroDivisionError: r's denominator underflows
+@example(values=[10**200, 0.5, 10**200, 1.0, 2.0, 3.0])  # OverflowError: a line's int product added to a float
+@example(values=[Fraction(1, 10**400), 0.0, 1.0, 1.0, 1.0, 1.0])  # ZeroDivisionError: 1/slope of an x-on-y line
 def test_results_are_finite_or_a_typed_error(name, values):
     try:
         result = _CALLS[name](values)

@@ -527,6 +527,57 @@ def test_gauss_newton_reaches_the_reduced_optimum(series):
     assert fit.sse == pytest.approx(_reduced_optimum(series), rel=1e-9)
 
 
+# --- a converged fit is never worse than the straight line -----------------------------
+
+# Two series on which both solvers walk onto the plateau at large k, where tau
+# is far below the sample spacing and the model is a jump after the first
+# sample, and stop there, converged, above the line's SSE (316.05 against
+# 314.78, and 1619.82 against 1606.07), although k = 0, the line, is a minimum.
+_ABOVE_THE_LINE = (
+    Series(
+        "plateau",
+        [(0.0, 28.821794), (205.92949, 11.507362), (411.85898, 19.1525), (617.78847, 18.971106), (823.71796, 35.795909)],
+    ),
+    Series(
+        "plateau-2",
+        [(0.0, 2.113574), (71.296429, 19.10374), (142.592858, 28.575209), (213.889287, -11.725923), (285.185716, 43.225097)],
+    ),
+)
+
+
+@st.composite
+def probe_series(draw):
+    """5 to 60 samples of a step, a power curve or flat data, with noise of 0.01 to 20 degC."""
+    n, span = draw(st.integers(5, 60)), draw(st.floats(1.0, 1000.0))
+    shape = draw(st.sampled_from(["step", "power", "flat"]))
+    start, rise = draw(st.floats(10.0, 40.0)), draw(st.floats(-30.0, 50.0))
+    c = draw(st.floats(0.05, 3.0))  # tau over the span of a step, the exponent of a power curve
+    noise = draw(st.floats(0.01, 20.0))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shapes = {
+        "step": lambda u: start + rise * -math.expm1(-u / c),
+        "power": lambda u: start + rise * u**c,
+        "flat": lambda u: start,
+    }
+    times = [span * i / (n - 1) for i in range(n)]
+    return Series(shape, [(t, shapes[shape](t / span) + rng.gauss(0.0, noise)) for t in times])
+
+
+@pytest.mark.parametrize("solver", [_GN, _GD])
+@_with_examples(_ABOVE_THE_LINE)
+@given(series=probe_series())
+def test_a_converged_fit_is_never_worse_than_the_line(solver, series):
+    # at k = 0 the step model is the line, so a fit above the line's SSE has
+    # not found the minimum; where k = 0 is one, the best fit is the line
+    try:
+        fit = solver(series)
+    except SingularNormalMatrix:
+        return
+    if fit.converged:
+        line = ols_fit(series.points()).sse
+        assert fit.sse <= line or fit.sse == pytest.approx(line, rel=1e-12)
+
+
 def _fit_with(kernel, series):
     """gauss_newton with the kernel forced, or the SingularNormalMatrix it raises."""
     with mock.patch.object(stepmodel, "_sums", kernel):
