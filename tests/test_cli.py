@@ -391,6 +391,13 @@ def test_plot_svg_structure(capsys, tmp_path):
     assert tags.count("path") == base_paths + 1
 
 
+def test_plot_deterministic_bytes(capsys, tmp_path):
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    run(capsys, "plot", "--builtin", "full", "-o", str(a))
+    run(capsys, "plot", "--builtin", "full", "-o", str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_plot_nonlinear_non_convergence_exit_2(capsys, tmp_path):
     out = tmp_path / "p.svg"
     code, _, err = run(

@@ -12,6 +12,7 @@ from thermofit import (
     Series,
     StepModelParams,
     build_report,
+    builtin_series,
     model_eval,
     predict,
     render_json,
@@ -152,6 +153,8 @@ def test_svg_tick_labels_tell_adjacent_ticks_apart():
 
 def _svg_case(name):
     """(series, step-model parameters or None) of a named plot."""
+    if name == "full":
+        return builtin_series("full"), None
     if name == "odd-label":
         return Series("a<b>&\"c\"", [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]), None
     if name == "epoch":
@@ -164,9 +167,10 @@ def _svg_case(name):
 
 
 # sha256 of each plot's SVG text in UTF-8: the same input gives the same bytes,
-# and a refactor of the renderer keeps them.  The plots of the builtin series
-# are rows of tests/cli_contract.txt.
+# and a refactor of the renderer keeps them.  The idle plot and the full
+# curve plot are rows of tests/cli_contract.txt.
 _SVG_SHA256 = {
+    "full": "9b49469c3688a333d86c079670d2305a24b7adc57b177d499ececd5086a55b6f",
     "odd-label": "6a17334a37fc9356e7f3d58828cf0eba25817d5b54b246e26617cffa4c7d8374",
     "epoch": "269e932f28fca0a9f052e0637760bdb1e06a7a9c6c74bccaf54720686791fb62",
     "step-5000-curve": "e30e13a15ee894b59d3e94a9e5ce2f3b286f8022129723084b695b77d6202251",
