@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
-from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange, _shown
+from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange, _ordered, _shown
 
 TEMP_MIN_C = -273.15
 TEMP_MAX_C = 10000.0
@@ -96,10 +96,14 @@ def _violations(series: Series):
     """Yield the violations :func:`validate` lists, in the same order."""
     if not series.times:
         yield Violation("EmptySeries", None, "series has no samples")
-    if series.power_w is not None and not (0 < series.power_w <= _DOUBLE_MAX):
+    if series.power_w is not None and not (0 < _ordered(series.power_w) <= _DOUBLE_MAX):
         yield Violation("OutOfRange", None, f"power_w={_shown(series.power_w)} must be positive")
     prev = None
     for i, (t, y) in enumerate(zip(series.times, series.temps)):
+        try:
+            t < y  # noqa: B015 -- raises where either is a Decimal NaN, which takes no order comparison
+        except ArithmeticError:  # check it as a float NaN
+            t, y = _ordered(t), _ordered(y)
         if not (0 <= t <= _DOUBLE_MAX):
             yield Violation("OutOfRange", i, f"time_s={_shown(t)} must be finite and >= 0")
         if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
@@ -246,28 +250,35 @@ def _body_rows(lines: list[str], first: int) -> tuple[tuple, tuple, list[int]]:
     return tuple(times), tuple(temps), numbers
 
 
+# to_csv writes these as they are; any other number (a bool, Fraction or
+# Decimal) as its float, which parse_csv reads back
+_AS_IS = (int, float)
+
+
 def to_csv(series: Series) -> str:
     """Serialize a Series to the CSV format accepted by :func:`parse_csv`.
 
-    Floats are written with repr so a round trip reproduces the series
-    field-for-field.  A label that parse_csv would not read back as it is,
-    one with a line break or with whitespace at either end, raises OutOfRange.
+    Floats and ints are written with repr so a round trip reproduces the
+    series field-for-field; any other number (a bool, Fraction or Decimal)
+    as the repr of its float.  A label that parse_csv would not read back as
+    it is, one with a line break or with whitespace at either end, raises
+    OutOfRange, as does a value that is not written out.
     """
     lines = []
     if series.label:
         if "\n" in series.label or series.label != series.label.strip():
             raise OutOfRange(f"cannot write the label {series.label!r}: a line break or whitespace at an end")
         lines.append(f"# label: {series.label}")
-    if series.power_w is not None:
+    if (p := series.power_w) is not None:
         try:
-            lines.append(f"# power_w: {series.power_w!r}")
-        except ValueError:  # as for a sample below
-            raise OutOfRange(f"cannot write power_w={_shown(series.power_w)}") from None
+            lines.append(f"# power_w: {p if type(p) in _AS_IS else float(p)!r}")
+        except (ValueError, OverflowError):  # as for a sample below
+            raise OutOfRange(f"cannot write power_w={_shown(p)}") from None
     lines.append(_HEADER)
     for t, y in zip(series.times, series.temps):
         try:
-            lines.append(f"{t!r},{y!r}")
-        except ValueError:  # Python writes out no int of more than 4300 digits
+            lines.append(f"{t if type(t) in _AS_IS else float(t)!r},{y if type(y) in _AS_IS else float(y)!r}")
+        except (ValueError, OverflowError):  # no int of more than 4300 digits, no float of a huge Fraction
             raise OutOfRange(f"cannot write the sample ({_shown(t)}, {_shown(y)})") from None
     return "\n".join(lines) + "\n"
 

@@ -8,13 +8,16 @@ parser without loading the modules that use them.
 
 from __future__ import annotations
 
+import math
+
 _DOUBLE_MAX = 1.7976931348623157e308  # sys.float_info.max; x is finite when abs(x) <= it
 _GN_MAX_ITER = 100  # Gauss-Newton iteration cap: the solver's, build_report's and the CLI's default
-# From this many samples the step-response solvers' sums, and build_report's
-# line fit, run on numpy arrays; below it on Python lists, and numpy is not
-# imported.  With numpy loaded, arrays are as fast as lists at 13 samples and
-# 9 times faster at 1024; loading numpy costs as much as a list fit of about
-# 40 000 samples (README, "Numerical notes").
+# From this many samples the step-response solvers' sums, and the line fit of
+# a build_report that also fits the curve, run on numpy arrays; below it on
+# Python lists, and numpy is not imported.  A linear-only build_report fits
+# its line on lists at any size.  With numpy loaded, arrays are as fast as
+# lists at 13 samples and 9 times faster at 1024; loading numpy costs as much
+# as a list fit of about 40 000 samples (README, "Numerical notes").
 _ARRAY_MIN = 1024
 
 
@@ -58,11 +61,35 @@ def _shown(value, form=repr) -> str:
 
 def _require_finite(values, what: str):
     """Return ``values``, or raise OutOfRange("<what>: <value>") at the first that is
-    not finite (NaN, +-inf or an int too large for a float), formatting the message only then."""
+    not finite (NaN, +-inf, an int too large for a float, or a value that takes no
+    order comparison, such as a Decimal NaN), formatting the message only then."""
     for v in values:
-        if not abs(v) <= _DOUBLE_MAX:
-            raise OutOfRange(f"{what}: {_shown(v, str)}")
+        try:
+            if abs(v) <= _DOUBLE_MAX:
+                continue
+        except ArithmeticError:  # decimal.InvalidOperation, from a Decimal NaN
+            pass
+        raise OutOfRange(f"{what}: {_shown(v, str)}")
     return values
+
+
+def _ordered(v):
+    """``v``, or a float NaN for a value that takes no order comparison (a
+    Decimal NaN raises decimal.InvalidOperation), so that every order
+    comparison with it is false, as with a float NaN."""
+    try:
+        v < 0  # noqa: B015 -- the comparison is the test
+    except ArithmeticError:
+        return math.nan
+    return v
+
+
+def _fsum(terms) -> float:
+    """math.fsum of the floats ``terms``, or inf where it raises (intermediate overflow, inf + -inf)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 class EmptyInput(ThermofitError):

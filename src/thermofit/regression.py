@@ -31,6 +31,8 @@ from .errors import (
     LengthMismatch,
     NonPositiveWeight,
     OutOfRange,
+    _fsum,
+    _ordered,
     _require_finite,
     _shown,
 )
@@ -93,17 +95,9 @@ def _columns(points) -> tuple[list, list]:
     return xs, ys
 
 
-def _fsum(terms) -> float:
-    """Exact sum; raises OutOfRange unless it is finite.
-
-    Covers a term that overflowed to inf or is NaN, and math.fsum's own
-    OverflowError (intermediate overflow) and ValueError (inf + -inf).
-    """
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):
-        total = math.inf
-    return _require_finite((total,), "a sum is outside the double range")[0]
+def _sum(terms) -> float:
+    """The exact sum of ``terms``; OutOfRange unless it is finite."""
+    return _require_finite((_fsum(terms),), "a sum is outside the double range")[0]
 
 
 # --- the exact core, over list or array columns ---------------------------------
@@ -112,15 +106,15 @@ def _fsum(terms) -> float:
 # lists of floats, or numpy float64 arrays.  Each backend forms every product,
 # quotient and square with the same IEEE-754 operation in the same order (squares
 # go through the C library's pow, which Python's ** and np.float_power both
-# call), and each sum is _fsum's exact sum of the same values, so both give the
+# call), and each sum is _sum's exact sum of the same values, so both give the
 # same result bit for bit, and the same error from the same check.
 #
 # On lists, a step that a sum consumes is a lazy map, so that an OverflowError
-# of Python's ** surfaces inside _fsum, as OutOfRange; a centered column and the
+# of Python's ** surfaces inside _sum, as OutOfRange; a centered column and the
 # deviations from the line, which are read more than once, are lists.
 _LISTS = SimpleNamespace(
     quiet=nullcontext,
-    sum=_fsum,
+    sum=_sum,
     same=lambda a: min(a) == max(a),
     mul=lambda a, b: map(operator.mul, a, b),
     div=lambda a, s: map(operator.truediv, a, repeat(s)),
@@ -134,10 +128,10 @@ _LISTS = SimpleNamespace(
 
 def _arrays(np) -> SimpleNamespace:
     """The steps on numpy float64 arrays: the extremes are numpy's, the sums
-    _fsum's, and a value out of range is left for _fsum to refuse."""
+    _sum's, and a value out of range is left for _sum to refuse."""
     return SimpleNamespace(
         quiet=lambda: np.errstate(all="ignore"),
-        sum=lambda a: _fsum(a.tolist()),
+        sum=lambda a: _sum(a.tolist()),
         same=lambda a: a.min() == a.max(),
         mul=operator.mul,
         div=operator.truediv,
@@ -266,7 +260,7 @@ def _fit(xs, ys, weights, axis: Axis, arrays: bool = False) -> tuple[LinearFit, 
     if weights is not None and len(weights) != len(xs):
         raise LengthMismatch(f"{len(weights)} weights for {len(xs)} points")
     for w in () if weights is None else weights:
-        if not (0 < w <= _DOUBLE_MAX):
+        if not (0 < _ordered(w) <= _DOUBLE_MAX):
             raise NonPositiveWeight(f"weight {_shown(w)} must be positive and finite")
     on, xs, ys, ws = _backend(xs, ys, weights, arrays)
     with on.quiet():
@@ -310,11 +304,11 @@ def wls_fit(points: list[Point], weights: list[float]) -> LinearFit:
 
 def _line(fit: LinearFit, xs) -> list[float]:
     """The fitted line at each of the sequence ``xs``.  The slope and intercept
-    are checked first ("line parameter") and taken as floats, then each x
-    ("x"), then each value the line takes ("predicted value"): OutOfRange at
+    are checked first ("line parameter"), then each x ("x"), and taken as
+    floats, then each value the line takes ("predicted value"): OutOfRange at
     the first that is not finite."""
     m, b = map(float, _require_finite((fit.slope, fit.intercept), "line parameter"))
-    return _require_finite([m * x + b for x in _require_finite(xs, "x")], "predicted value")
+    return _require_finite([m * x + b for x in map(float, _require_finite(xs, "x"))], "predicted value")
 
 
 def predict(fit: LinearFit, x: float) -> float:
@@ -325,11 +319,12 @@ def predict(fit: LinearFit, x: float) -> float:
 def _residuals(fit: LinearFit, xs, ys) -> list[float]:
     """The deviation at each point of the sequences ``xs``, ``ys`` that the fit
     minimized (:func:`_deviations`).  The slope and intercept are checked first
-    ("line parameter") and taken as floats, then the coordinates, x before y
-    at each point ("non-finite coordinate"), then each deviation ("residual"):
-    OutOfRange at the first that is not finite."""
+    ("line parameter"), then the coordinates, x before y at each point
+    ("non-finite coordinate"), and taken as floats, then each deviation
+    ("residual"): OutOfRange at the first that is not finite."""
     m, b = map(float, _require_finite((fit.slope, fit.intercept), "line parameter"))
     _require_finite(chain.from_iterable(zip(xs, ys)), "non-finite coordinate")
+    xs, ys = list(map(float, xs)), list(map(float, ys))
     return _require_finite(_deviations(_LISTS, m, b, fit.axis, xs, ys), "residual")
 
 
@@ -345,7 +340,7 @@ def residuals(fit: LinearFit, points: list[Point]) -> list[float]:
 def sse(fit: LinearFit, points: list[Point]) -> float:
     """Sum of squared deviations of the points from the fitted line; for an
     unweighted fit of the same points, exactly ``fit.sse``."""
-    return _fsum(_LISTS.square(residuals(fit, points)))
+    return _sum(_LISTS.square(residuals(fit, points)))
 
 
 def _correlation(xs, ys) -> float:
@@ -366,9 +361,9 @@ def correlation(points: list[Point]) -> float:
 
 def classify_fit(r: float) -> FitClass:
     """Bucket a correlation coefficient: |r| >= 0.9 GOOD, >= 0.5 MODERATE, else POOR."""
-    if not (abs(r) <= 1.0):
-        raise OutOfRange(f"|r| = {_shown(abs(r))} exceeds 1")
-    a = abs(r)
+    a = abs(_ordered(r))
+    if not (a <= 1.0):
+        raise OutOfRange(f"|r| = {_shown(a)} exceeds 1")
     if a >= 0.9:
         return FitClass.GOOD
     if a >= 0.5:

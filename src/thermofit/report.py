@@ -79,7 +79,7 @@ def build_report(
     nl_init: StepModelParams | None = None,
     nl_max_iter: int = _GN_MAX_ITER,
 ) -> FitReport:
-    """Validate a series, fit it and assemble the report.
+    """Validate a series, fit it and assemble the report of its values as floats.
 
     With ``weights`` the linear fit is weighted, which only a y-on-x fit
     may be (OutOfRange for an x-on-y one); with ``nonlinear`` a Gauss-Newton
@@ -89,7 +89,7 @@ def build_report(
     _require_valid(series)
     if weights is not None and axis is not Axis.Y_ON_X:
         raise OutOfRange("weights apply to the y-on-x fit only")
-    xs, ys = series.times, series.temps
+    xs, ys = tuple(map(float, series.times)), tuple(map(float, series.temps))
     # numpy is loaded only where the curve fit loads it anyway
     arrays = nonlinear and len(xs) >= _ARRAY_MIN
     # the residual column is the deviations whose squares the fit summed
@@ -109,18 +109,13 @@ _BLOCK_ROWS = 4096
 
 
 def _blocks(columns):
-    """The four columns, sliced into blocks of at most ``_BLOCK_ROWS`` rows."""
+    """The values of the four columns, row by row, in blocks of at most ``_BLOCK_ROWS`` rows."""
     x, y, p, d = columns
     for i in range(0, len(x), _BLOCK_ROWS):
         j = i + _BLOCK_ROWS
-        yield x[i:j], y[i:j], p[i:j], d[i:j]
-
-
-def _interleaved(block, form=tuple) -> list:
-    """The values of the four columns of ``block``, each passed through ``form``, row by row."""
-    flat = [None] * (4 * len(block[0]))
-    flat[0::4], flat[1::4], flat[2::4], flat[3::4] = map(form, block)
-    return flat
+        values = [None] * (4 * len(x[i:j]))
+        values[0::4], values[1::4], values[2::4], values[3::4] = x[i:j], y[i:j], p[i:j], d[i:j]
+        yield values
 
 
 # One residual row as json.dumps(..., indent=2) lays it out inside the report.
@@ -128,11 +123,11 @@ _JSON_ROW = '    {\n      "x": %s,\n      "observed": %s,\n      "predicted": %s
 _JSON_SLOT = '\n  "residuals": []'
 
 
-def _json_values(column) -> list[str]:
-    """Each value of ``column`` as json writes it, by json's C encoder in one call."""
+def _json_values(values: list) -> list[str]:
+    """Each of ``values`` as json writes it, by json's C encoder in one call."""
     import json
 
-    text = json.dumps(column)[1:-1]  # no indent: json's C encoder
+    text = json.dumps(values)[1:-1]  # no indent: json's C encoder
     if '"' in text or "[" in text or "{" in text:
         raise TypeError("residual_table entries must be numbers")
     return text.split(", ")
@@ -183,8 +178,8 @@ def _json_blocks(report: FitReport):
     before, _, after = head.partition(_JSON_SLOT)
     yield before + '\n  "residuals": [\n'
     sep = ""
-    for block in _blocks(report._columns):
-        yield (sep + ",\n".join([_JSON_ROW] * len(block[0]))) % tuple(_interleaved(block, _json_values))
+    for values in _blocks(report._columns):
+        yield (sep + ",\n".join([_JSON_ROW] * (len(values) // 4))) % tuple(_json_values(values))
         sep = ",\n"
     yield "\n  ]" + after + "\n"
 
@@ -217,8 +212,8 @@ def _text_blocks(report: FitReport, color: bool = False):
         f"{'x':>10}  {'observed':>10}  {'predicted':>10}  {'residual':>10}",
     ]
     yield "\n".join(lines) + "\n"
-    for block in _blocks(report._columns):
-        yield (_TEXT_ROW * len(block[0])) % tuple(_interleaved(block))
+    for values in _blocks(report._columns):
+        yield (_TEXT_ROW * (len(values) // 4)) % tuple(values)
     if report.nonlinear is not None:
         nl = report.nonlinear
         status = "converged" if nl.converged else "NOT converged"

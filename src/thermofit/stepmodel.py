@@ -6,12 +6,14 @@ A lumped thermal mass driven by a power step warms as
 
 with initial temperature T_0, steady state T_inf, and time constant tau.
 This module holds the parameter and result types, the one parameter check,
-the model itself (``model_eval``, which refuses a time at which the model is
+the model itself (``_curve``, written once and called with ``math.exp`` on
+floats or ``np.exp`` on arrays; ``model_eval`` refuses a time at which it is
 not finite), the solvers' starting guess, the SSE, both solvers, and the
-Jacobian and SSE gradient.  numpy is imported only where arrays are made: by
-``jacobian`` and ``sse_gradient``, which return arrays, and by the array
-kernel of a fit of at least ``errors._ARRAY_MIN`` samples.  So a report, a
-plot or a fit of a short series never loads it.
+Jacobian and SSE gradient.  Parameters and series values are taken as
+floats.  numpy is imported only where arrays are made: by ``jacobian`` and
+``sse_gradient``, which return arrays, and by the array kernel of a fit of
+at least ``errors._ARRAY_MIN`` samples.  So a report, a plot or a fit of a
+short series never loads it.
 
 Both solvers fit the model in its separable form (variable projection):
 
@@ -25,14 +27,14 @@ backtracking step-halving search; they differ only in direction, starting
 step and halvings.  A result maps back as tau = 1/k and T_inf = T0 + s0/k.
 One rule, tested once per SSE, stops both: converged when the SSE is 0 or
 its relative decrease over the last ``span`` iterations falls below ``tol``
-(``span`` is 1 for Gauss-Newton, ``window`` for steepest descent).  One rule
-refuses both a fit that does not determine tau: SingularNormalMatrix when
-the fitted amplitude s0 is 0 (flat data), when the fit ends at k = 0 (the
-straight line), or when it converges above the SSE at k = 0 where k = 0 is
-a minimum over k >= 0 (the line is the better fit).  Only the per-sample
-sums come from a kernel chosen by the series' size: exact ``math.fsum``
-sums over Python lists below
-``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays from it.
+(``span`` is 1 for Gauss-Newton, ``window`` for steepest descent), unless
+the SSE is above r(0), the inner solve at k = 0 (the straight line).  One
+rule refuses both a fit that does not determine tau: SingularNormalMatrix
+when the fitted amplitude s0 is 0 (flat data), when the fit ends at k = 0,
+or when it would converge above r(0) where k = 0 is a minimum over k >= 0
+(the line is the better fit).  Only the per-sample sums come from a kernel
+chosen by the series' size: ``errors._fsum``'s exact sums over Python lists
+below ``_ARRAY_MIN`` samples, numpy's pairwise sums over arrays from it.
 Every function here refuses an invalid series (checked once per Series
 object) or parameters, the solvers refuse out-of-range options, and a result
 that is not finite raises OutOfRange.  numpy's floating-point warnings are
@@ -56,6 +58,8 @@ from .errors import (
     InvalidInit,
     OutOfRange,
     SingularNormalMatrix,
+    _fsum,
+    _ordered,
     _require_finite,
     _shown,
 )
@@ -96,6 +100,7 @@ class JacobianMode(enum.Enum):
 
 def _valid(t0: float, tinf: float, tau: float) -> bool:
     """The one parameter check: all three finite and tau > 0."""
+    t0, tinf, tau = map(_ordered, (t0, tinf, tau))
     return abs(t0) <= _DOUBLE_MAX and abs(tinf) <= _DOUBLE_MAX and 0 < tau <= _DOUBLE_MAX
 
 
@@ -112,16 +117,22 @@ def _theta(params: StepModelParams) -> tuple[float, float, float]:
     return float(p.t_ambient_c), float(p.t_final_c), float(p.tau_s)
 
 
+def _curve(theta, t, exp):
+    """The model at ``theta`` = (T_0, T_inf, tau) and ``t``, by math.exp on floats or np.exp on arrays."""
+    t0, tinf, tau = theta
+    return tinf + (t0 - tinf) * exp(-t / tau)
+
+
 def model_eval(params: StepModelParams, t: float) -> float:
     """Temperature at time t: T_inf + (T_0 - T_inf) * exp(-t / tau).
 
-    Raises OutOfRange when that is not a finite number (t NaN, or so far
+    The parameters and t are taken as floats.  Raises OutOfRange when that
+    is not a finite number (t NaN or too large for a float, or so far
     before the step that the exponential overflows); t = +inf gives T_inf.
     """
-    p = _checked(params)
     try:
-        value = p.t_final_c + (p.t_ambient_c - p.t_final_c) * math.exp(-t / p.tau_s)
-    except OverflowError:
+        value = _curve(_theta(params), float(t), math.exp)
+    except (OverflowError, ValueError):  # ValueError: float() of a Decimal signaling NaN
         value = math.inf
     return _require_finite((value,), f"t={_shown(t)} gives no finite model temperature")[0]
 
@@ -139,14 +150,15 @@ def _require_count(name: str, value, low: int) -> None:
 def default_init(series: Series) -> StepModelParams:
     """Validate the series; start at its first and last temperatures and a third of its span.
 
-    Where a third of the span rounds to 0 (a subnormal span), tau starts at the
-    span itself.  Raises InsufficientData for a single sample, which spans no time."""
+    The values are taken as floats.  Where a third of the span rounds to 0 (a
+    subnormal span), tau starts at the span itself.  Raises InsufficientData
+    for a single sample, which spans no time."""
     _require_valid(series)
     times, temps = series.times, series.temps
     if len(times) < 2:
         raise InsufficientData("a starting guess needs at least 2 samples")
-    span = times[-1] - times[0]
-    return StepModelParams(temps[0], temps[-1], span / 3.0 or span)
+    span = float(times[-1]) - float(times[0])
+    return StepModelParams(float(temps[0]), float(temps[-1]), span / 3.0 or span)
 
 
 # --- the per-sample sums ------------------------------------------------------------
@@ -200,15 +212,6 @@ class _Sums:
         return self.mean_temp - s0 * mean_phi, s0, self.dot(r, r), self.dot(q, r), self.dot(q, q)
 
 
-def _fsum(terms: list) -> float:
-    """The exact (correctly rounded) sum; where math.fsum raises, the
-    floating-point sum: +-inf on overflow, NaN for inf + -inf."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return sum(terms)
-
-
 class _ListSums(_Sums):
     """The solvers' sums on Python lists, each an exact (correctly rounded) fsum
     of the terms the array kernel sums; the terms are formed as numpy forms them."""
@@ -217,9 +220,7 @@ class _ListSums(_Sums):
         super().__init__(list(map(float, series.times)), list(map(float, series.temps)))
 
     def sse(self, theta) -> float:
-        t0, tinf, tau = theta
-        a = t0 - tinf
-        r = [y - (tinf + a * math.exp(-t / tau)) for t, y in zip(self.times, self.temps)]
+        r = [y - _curve(theta, t, math.exp) for t, y in zip(self.times, self.temps)]
         return self.dot(r, r)
 
     def columns(self, k: float):
@@ -236,7 +237,7 @@ class _ListSums(_Sums):
 
     @staticmethod
     def dot(a: list, b: list) -> float:
-        return _fsum(list(map(operator.mul, a, b)))
+        return _fsum(map(operator.mul, a, b))
 
     @staticmethod
     def less(a: list, c: float, b: list) -> list:
@@ -248,11 +249,6 @@ class _ListSums(_Sums):
 
 
 # --- the model on numpy arrays; ``np`` is the numpy module, imported by the caller ---
-
-
-def _curve(np, theta: np.ndarray, times: np.ndarray) -> np.ndarray:
-    t0, tinf, tau = theta
-    return tinf + (t0 - tinf) * np.exp(-times / tau)
 
 
 def _jac_columns(np, theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -281,7 +277,7 @@ class _ArraySums(_Sums):
     def sse(self, theta) -> float:
         np = self.np
         with np.errstate(all="ignore"):
-            r = self.temps - _curve(np, np.array(theta), self.times)
+            r = self.temps - _curve(theta, self.times, np.exp)
             return _dot(np, r, r)
 
     def columns(self, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -344,11 +340,12 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     starting k, the inner solve there is the first iterate.  Converged: the
     SSE is 0, the direction is None or 0 (a stationary point), or the
     relative SSE decrease over the last ``span`` iterations is below
-    ``tol``.  Otherwise the loop stops at ``max_iter`` or when no damped
-    step improves, returning the best iterate found.
+    ``tol``, and the SSE is not above the straight line's, r(0).  Otherwise
+    the loop stops at ``max_iter`` or when no damped step improves,
+    returning the best iterate found.
     """
     _require_count("max_iter", max_iter, 0)
-    if not tol >= 0:
+    if not _ordered(tol) >= 0:
         raise OutOfRange(f"tol={_shown(tol)} must be >= 0")
     sums = _sums(series)
     if len(series.times) < 4:
@@ -396,10 +393,13 @@ def _descend(series, init, max_iter, tol, *, span, tries, step, restart, directi
     if n:
         if not here[1]:
             raise SingularNormalMatrix("the fitted amplitude is 0 (flat data); " + _UNIDENTIFIABLE)
-        # k = 0 is the straight line, one member of the family: a converged fit
-        # above the line's SSE, where k = 0 is a minimum, did not find the best
-        if not k or (converged and current > _trial(sums, 0.0)[1]):
+        # k = 0 is the straight line r(0), one member of the family: a fit that
+        # stops above its SSE has not found the best, and where k = 0 is a
+        # minimum (line_sse is then r(0)'s SSE, else inf) the best is the line
+        line, line_sse = _trial(sums, 0.0)
+        if not k or (converged and current > line_sse):
             raise SingularNormalMatrix("the best fit is the straight line, at k = 1/tau = 0; " + _UNIDENTIFIABLE)
+        converged = converged and not current > line[2]
         theta = sums.theta(k, here)
     return NlFit(
         params=StepModelParams(*theta),
@@ -462,11 +462,11 @@ def gradient_descent(
     span fell below ``tol``.
     """
     _require_count("window", window, 1)
-    if not 0.0 < learning_rate <= _DOUBLE_MAX:
+    if not 0.0 < _ordered(learning_rate) <= _DOUBLE_MAX:
         raise OutOfRange(f"learning_rate={_shown(learning_rate)} must be positive and finite")
     return _descend(
         series, init, max_iter, tol, span=window, tries=60,
-        step=learning_rate, restart=lambda step: step * 2.0,
+        step=float(learning_rate), restart=lambda step: step * 2.0,
         direction=lambda s0, g, h: 2.0 * s0 * g,
     )
 
@@ -500,7 +500,7 @@ def jacobian(
                 minus = theta.copy()
                 plus[j] += h[j]
                 minus[j] -= h[j]
-                out[:, j] = (_curve(np, plus, t) - _curve(np, minus, t)) / (plus[j] - minus[j])
+                out[:, j] = (_curve(plus, t, np.exp) - _curve(minus, t, np.exp)) / (plus[j] - minus[j])
         _require_finite(out.flat, "Jacobian entry")
     return out
 
@@ -513,5 +513,5 @@ def sse_gradient(params: StepModelParams, series: Series) -> np.ndarray:
     with np.errstate(all="ignore"):
         theta = np.array(_theta(params))
         times = np.array(series.times, dtype=float)
-        r = np.array(series.temps, dtype=float) - _curve(np, theta, times)
+        r = np.array(series.temps, dtype=float) - _curve(theta, times, np.exp)
         return _require_finite(-2.0 * np.array([_dot(np, c, r) for c in _jac_columns(np, theta, times)]), "SSE gradient entry")

@@ -109,11 +109,12 @@ def render_plot(
 ) -> str:
     """Render observed points, the fitted line, and optionally the step-response curve.
 
-    The series is validated first.  The fitted line is the single <line>
-    element; the curve, when present, is one <path> beyond the axes path.
+    The series is validated first, and its values are taken as floats.  The
+    fitted line is the single <line> element; the curve, when present, is one
+    <path> beyond the axes path.
     """
     _require_valid(series)
-    xs, ys = series.times, series.temps
+    xs, ys = list(map(float, series.times)), list(map(float, series.temps))
     ends = (min(xs), max(xs))
     line = _line(fit, ends)
     y_all = [*ys, *line]

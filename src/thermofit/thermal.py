@@ -21,6 +21,7 @@ from .errors import (
     NegativePower,
     NonPositiveResistance,
     OutOfRange,
+    _ordered,
     _require_finite,
     _shown,
 )
@@ -35,7 +36,7 @@ class PackageEntry:
     theta_ja: float
 
     def __post_init__(self):
-        if not (self.theta_jc > 0 and self.theta_ja > 0):
+        if not (_ordered(self.theta_jc) > 0 and _ordered(self.theta_ja) > 0):
             raise NonPositiveResistance(f"{self.name}: resistances must be positive")
         if self.theta_ja < self.theta_jc:
             raise OutOfRange(
@@ -52,7 +53,7 @@ class HeatSinkEntry:
     theta_sa: float
 
     def __post_init__(self):
-        if not self.theta_sa > 0:
+        if not _ordered(self.theta_sa) > 0:
             raise NonPositiveResistance(f"{self.name}: theta_sa must be positive")
 
 
@@ -65,7 +66,7 @@ class ProcessorSpec:
     note: str
 
     def __post_init__(self):
-        if not (0 < self.t_j_max_c < 200):
+        if not (0 < _ordered(self.t_j_max_c) < 200):
             raise OutOfRange(f"{self.name}: t_j_max_c {_shown(self.t_j_max_c, str)} outside (0, 200)")
 
 
@@ -110,25 +111,27 @@ def builtin_heatsinks() -> list[HeatSinkEntry]:
 
 
 def junction_temperature(power_w: float, theta_total: float, t_ambient_c: float) -> float:
-    """Predicted junction temperature: t_ambient_c + power_w * theta_total."""
-    if power_w < 0:
+    """Predicted junction temperature: t_ambient_c + power_w * theta_total, in floats."""
+    if _ordered(power_w) < 0:
         raise NegativePower(f"power_w {_shown(power_w, str)} is negative")
-    if theta_total <= 0:
+    if _ordered(theta_total) <= 0:
         raise NonPositiveResistance(f"theta_total {_shown(theta_total, str)} must be positive")
-    _require_finite((power_w, theta_total, t_ambient_c), "junction_temperature inputs must be finite")
-    return _require_finite((t_ambient_c + power_w * theta_total,), "junction temperature overflows")[0]
+    inputs = _require_finite((power_w, theta_total, t_ambient_c), "junction_temperature inputs must be finite")
+    p, theta, t_a = map(float, inputs)
+    return _require_finite((t_a + p * theta,), "junction temperature overflows")[0]
 
 
 def max_power(t_j_max_c: float, theta_total: float, t_ambient_c: float) -> float:
-    """Largest power that keeps the junction at or below t_j_max_c."""
-    if theta_total <= 0:
+    """Largest power that keeps the junction at or below t_j_max_c, in floats."""
+    if _ordered(theta_total) <= 0:
         raise NonPositiveResistance(f"theta_total {_shown(theta_total, str)} must be positive")
-    _require_finite((t_j_max_c, theta_total, t_ambient_c), "max_power inputs must be finite")
+    inputs = _require_finite((t_j_max_c, theta_total, t_ambient_c), "max_power inputs must be finite")
     if t_j_max_c <= t_ambient_c:
         raise InvertedTemperatures(
             f"t_j_max_c {t_j_max_c} does not exceed ambient {t_ambient_c}"
         )
-    return _require_finite(((t_j_max_c - t_ambient_c) / theta_total,), "max_power overflows")[0]
+    t_j, theta, t_a = map(float, inputs)
+    return _require_finite(((t_j - t_a) / theta,), "max_power overflows")[0]
 
 
 def select_heatsink(
@@ -146,15 +149,16 @@ def select_heatsink(
     """
     if not catalog:
         raise EmptyInput("heat sink catalog is empty")
-    if power_w < 0:
+    if _ordered(power_w) < 0:
         raise NegativePower(f"power_w {_shown(power_w, str)} is negative")
-    if theta_jc <= 0:
+    if _ordered(theta_jc) <= 0:
         raise NonPositiveResistance(f"theta_jc {_shown(theta_jc, str)} must be positive")
-    _require_finite((power_w, t_j_max_c, t_ambient_c, theta_jc), "select_heatsink inputs must be finite")
+    inputs = _require_finite((power_w, t_j_max_c, t_ambient_c, theta_jc), "select_heatsink inputs must be finite")
+    p, t_j_max, t_a, theta_jc = map(float, inputs)
     best: HeatSinkEntry | None = None
     for entry in catalog:
-        t_j = t_ambient_c + power_w * (theta_jc + entry.theta_sa)
-        if t_j <= t_j_max_c and (best is None or entry.theta_sa > best.theta_sa):
+        t_j = t_a + p * (theta_jc + float(entry.theta_sa))
+        if t_j <= t_j_max and (best is None or entry.theta_sa > best.theta_sa):
             best = entry
     return best
 

@@ -8,6 +8,7 @@
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from thermofit import (
     Axis,
+    HeatSinkEntry,
     JacobianMode,
     LinearFit,
     NlFit,
@@ -37,7 +39,10 @@ from thermofit import (
     model_eval,
     model_sse,
     ols_fit,
+    parse_csv,
     predict,
+    render_json,
+    render_text,
     residuals,
     select_heatsink,
     sse,
@@ -46,7 +51,7 @@ from thermofit import (
     validate,
     wls_fit,
 )
-from thermofit.errors import ThermofitError
+from thermofit.errors import ThermofitError, _require_finite
 from thermofit.regression import _fit
 from thermofit.svgplot import render_plot
 
@@ -101,7 +106,16 @@ _CALLS = {
 }
 
 _EDGES = [10**400, -(10**400), 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0]
-_number = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.sampled_from(_EDGES)
+# A Decimal NaN takes no order comparison (decimal.InvalidOperation); a
+# Decimal or Fraction is taken as its float, or refused if it has none.
+_DECIMAL_EDGES = [Decimal("NaN"), Decimal("-NaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("1e400")]
+_number = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers()
+    | st.fractions()
+    | st.decimals(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_EDGES + _DECIMAL_EDGES)
+)
 
 
 def _numbers_in(result):
@@ -120,6 +134,8 @@ def _numbers_in(result):
 @example(values=[1e-170, 1e-170, 1e-170, 0.0, 1.0, 3.0])  # ZeroDivisionError: r's denominator underflows
 @example(values=[10**200, 0.5, 10**200, 1.0, 2.0, 3.0])  # OverflowError: a line's int product added to a float
 @example(values=[Fraction(1, 10**400), 0.0, 1.0, 1.0, 1.0, 1.0])  # ZeroDivisionError: 1/slope of an x-on-y line
+@example(values=[Decimal("NaN")] * 6)  # decimal.InvalidOperation: the gate's comparison
+@example(values=[Decimal("1.5"), 2.0, 3.0, Decimal("1.5"), 5.0, 6.0])  # TypeError: float * Decimal
 def test_results_are_finite_or_a_typed_error(name, values):
     try:
         result = _CALLS[name](values)
@@ -220,3 +236,70 @@ _LONG_CALLS = {
 def test_an_int_too_long_to_write_out_gets_a_typed_error(name):
     with pytest.raises(ThermofitError, match="an int too large for a float"):
         _LONG_CALLS[name]()
+
+
+# --- rule 1 for a Decimal NaN, which takes no order comparison -----------------------
+
+_NAN_CALLS = {
+    "_require_finite": lambda v: _require_finite((v,), "value"),
+    "classify_fit": classify_fit,
+    "wls_fit-weight": lambda v: wls_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], [v, 1.0, 1.0]),
+    "model_eval": lambda v: model_eval(StepModelParams(20, 60, 15), v),
+    "model_sse-params": lambda v: model_sse(StepModelParams(v, 60, 15), _STEP),
+    "gauss_newton-tol": lambda v: gauss_newton(_STEP, tol=v),
+    "gradient_descent-learning_rate": lambda v: gradient_descent(_STEP, learning_rate=v),
+    "build_report-power_w": lambda v: build_report(Series("p", [(0.0, 20.0), (1.0, 21.0)], power_w=v)),
+    "junction_temperature": lambda v: junction_temperature(v, 1.0, 20.0),
+    "max_power": lambda v: max_power(100.0, v, 20.0),
+    "select_heatsink": lambda v: select_heatsink(builtin_heatsinks(), v, 90.0, 25.0, 3.0),
+    "select_heatsink-theta_jc": lambda v: select_heatsink(builtin_heatsinks(), 10.0, 90.0, 25.0, v),
+    "ProcessorSpec": lambda v: ProcessorSpec("x", v, ""),
+    "PackageEntry": lambda v: PackageEntry("x", v, 1.0),
+    "HeatSinkEntry": lambda v: HeatSinkEntry("x", v),
+}
+
+
+@pytest.mark.parametrize("value", [Decimal("NaN"), Decimal("sNaN")], ids=str)
+@pytest.mark.parametrize("name", list(_NAN_CALLS))
+def test_a_decimal_nan_gets_a_typed_error(name, value):
+    with pytest.raises(ThermofitError):
+        _NAN_CALLS[name](value)
+
+
+# --- rule 1 for a valid series of numbers that are not floats ------------------------
+
+# A step response sampled at 7 times, with a ripple so that the curve fit has a
+# residual; each series holds other numbers than floats.
+_RISE = [60.0 - 40.0 * math.exp(-i / 3.0) + 0.3 * math.sin(i) for i in range(7)]
+_NOT_FLOATS = {
+    "fraction": Series("q", [(Fraction(3, 2) * i, y) for i, y in enumerate(_RISE, 1)]),
+    "decimal": Series("q", [(Decimal("1.5") * i, Decimal(repr(y))) for i, y in enumerate(_RISE, 1)]),
+    "bool": Series("q", [(False, _RISE[0]), (True, _RISE[1]), *((i, y) for i, y in enumerate(_RISE[2:], 2))]),
+}
+_OF_A_SERIES = {
+    "build_report": lambda s: build_report(s),
+    "build_report-nonlinear": lambda s: build_report(s, nonlinear=True),
+    "render_json": lambda s: render_json(build_report(s)),
+    "render_json-nonlinear": lambda s: render_json(build_report(s, nonlinear=True)),
+    "render_text": lambda s: render_text(build_report(s)),
+    "render_text-nonlinear": lambda s: render_text(build_report(s, nonlinear=True)),
+    "render_plot": lambda s: render_plot(s, _FIT, default_init(s)),
+    "default_init": default_init,
+}
+
+
+def _floats(series):
+    return Series(series.label, zip(map(float, series.times), map(float, series.temps)))
+
+
+@pytest.mark.parametrize("kind", list(_NOT_FLOATS))
+@pytest.mark.parametrize("name", list(_OF_A_SERIES))
+def test_a_series_of_other_numbers_gives_what_its_floats_give(name, kind):
+    series = _NOT_FLOATS[kind]
+    assert _OF_A_SERIES[name](series) == _OF_A_SERIES[name](_floats(series))
+
+
+@pytest.mark.parametrize("kind", list(_NOT_FLOATS))
+def test_to_csv_writes_the_float_of_a_number_that_is_not_one(kind):
+    series = _NOT_FLOATS[kind]
+    assert parse_csv(to_csv(series)) == _floats(series)

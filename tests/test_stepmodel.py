@@ -370,13 +370,14 @@ _GN, _GD = gauss_newton, gradient_descent
         (_GN, _STEP, StepModelParams(10, 30, 1), {"freeze_tau": True}, 1, True, 0.0),
         (_GN, _STEP, StepModelParams(10, 30, 1), {"max_iter": 1}, 1, True, 0.0),
         (_GN, _FULL, None, {}, 12, True, 168.49401439372392),
-        (_GN, _FULL, None, {"tol": 0.9}, 1, True, 207.5485119978748),
+        # a fit that stops above the line's SSE, 168.49, is not converged at any tol
+        (_GN, _FULL, None, {"tol": 0.9}, 1, False, 207.5485119978748),
         (_GN, _FULL, None, {"max_iter": 1}, 1, False, 207.5485119978748),
         (_GN, _FULL, None, {"max_iter": 0}, 0, False, 997.4977749963198),
         (_GN, _FULL, StepModelParams(20, 500, 5), {"max_halvings": 0}, 1, False, 1644.2795942262155),
         (_GD, _FLAT, StepModelParams(25, 25, 10), {}, 0, True, 0.0),
         (_GD, _NOISY, StepModelParams(15, 50, 10), {"window": 10, "tol": 1e-6}, 43, True, 5.214544325368813),
-        (_GD, _FULL, None, {"window": 3, "tol": 0.9}, 3, True, 461.6013985043088),
+        (_GD, _FULL, None, {"window": 3, "tol": 0.9}, 3, False, 461.6013985043088),
         (_GD, _FULL, None, {"max_iter": 5}, 5, False, 228.4011655761101),
         (_GD, _FULL, None, {"learning_rate": 1e100}, 1, False, 554.8311565148846),
         (_GD, _KINK, StepModelParams(20, 60, 1), {}, 0, True, 200.0),
@@ -504,10 +505,10 @@ def _probe(draws):
     return out
 
 
-def _with_examples(series_list):
+def _with_examples(series_list, **arguments):
     def decorate(test):
         for series in series_list:
-            test = example(series=series)(test)
+            test = example(series=series, **arguments)(test)
         return test
 
     return decorate
@@ -563,14 +564,20 @@ def probe_series(draw):
     return Series(shape, [(t, shapes[shape](t / span) + rng.gauss(0.0, noise)) for t in times])
 
 
-@pytest.mark.parametrize("solver", [_GN, _GD])
-@_with_examples(_ABOVE_THE_LINE)
-@given(series=probe_series())
-def test_a_converged_fit_is_never_worse_than_the_line(solver, series):
+@pytest.mark.parametrize(
+    "solver", [_GN, _GD, pytest.param(partial(_GD, window=3), id="gradient_descent-window-3")]
+)
+@_with_examples(_ABOVE_THE_LINE, tol=1e-10)
+# full load, where k = 0 is no minimum: one step, or one window, meets the loose
+# tol at SSE 207.55 or 461.60, above the line's 168.49
+@example(series=_FULL, tol=0.9)
+@given(series=probe_series(), tol=st.floats(1e-10, 1.0))
+def test_a_converged_fit_is_never_worse_than_the_line(solver, series, tol):
     # at k = 0 the step model is the line, so a fit above the line's SSE has
-    # not found the minimum; where k = 0 is one, the best fit is the line
+    # not found the minimum, whatever tol it met; where k = 0 is one, the best
+    # fit is the line
     try:
-        fit = solver(series)
+        fit = solver(series, tol=tol)
     except SingularNormalMatrix:
         return
     if fit.converged:
