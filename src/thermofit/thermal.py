@@ -157,7 +157,8 @@ def select_heatsink(
     p, t_j_max, t_a, theta_jc = map(float, inputs)
     best: HeatSinkEntry | None = None
     for entry in catalog:
-        t_j = t_a + p * (theta_jc + float(entry.theta_sa))
+        (theta_sa,) = _require_finite((entry.theta_sa,), f"{entry.name}: theta_sa must be finite")
+        t_j = t_a + p * (theta_jc + float(theta_sa))
         if t_j <= t_j_max and (best is None or entry.theta_sa > best.theta_sa):
             best = entry
     return best
@@ -168,10 +169,16 @@ def catalog_to_csv(entries: list[PackageEntry] | list[HeatSinkEntry]) -> str:
 
     The header is the field names in declaration order, e.g.
     ``name,theta_jc,theta_ja`` for packages and ``name,theta_sa`` for sinks.
+    An entry with a value that is not written out raises OutOfRange.
     """
     names = [f.name for f in fields(entries[0])]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(names)
-    w.writerows([getattr(e, n) for n in names] for e in entries)
+    for e in entries:
+        row = [getattr(e, n) for n in names]
+        try:
+            w.writerow(row)
+        except ValueError:  # no int of more than 4300 digits, as in to_csv
+            raise OutOfRange(f"cannot write the entry ({', '.join(map(_shown, row))})") from None
     return buf.getvalue()

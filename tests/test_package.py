@@ -74,3 +74,22 @@ def test_a_short_series_is_fitted_without_numpy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False"]
+
+
+def test_orjson_is_loaded_only_for_a_table_of_at_least_one_block():
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys, thermofit\n"
+        "from thermofit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['fit', '--builtin', 'full', '--json']) == 0\n"
+        "fit = thermofit.LinearFit(1.0, 2.0, thermofit.Axis.Y_ON_X, 0.5, 3.0, 2)\n"
+        "def render(rows):\n"
+        "    table = [(1.0, 2.0, 3.0, 1e-05)] * rows\n"
+        "    thermofit.render_json(thermofit.FitReport('r', fit, thermofit.FitClass.GOOD, table))\n"
+        "    return 'orjson' in sys.modules\n"
+        "print('orjson' in sys.modules, render(4095), render(4096))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]

@@ -54,6 +54,7 @@ from thermofit import (
 from thermofit.errors import ThermofitError, _require_finite
 from thermofit.regression import _fit
 from thermofit.svgplot import render_plot
+from thermofit.thermal import catalog_to_csv
 
 from conftest import synth_series
 from test_dataset import any_series
@@ -225,8 +226,10 @@ _LONG_CALLS = {
     "junction_temperature": lambda: junction_temperature(-_LONG, 1.0, 20.0),
     "max_power": lambda: max_power(100.0, -_LONG, 20.0),
     "select_heatsink": lambda: select_heatsink(builtin_heatsinks(), 10.0, 90.0, 25.0, -_LONG),
+    "select_heatsink-theta_sa": lambda: select_heatsink([HeatSinkEntry("x", _LONG)], 1.0, 90.0, 25.0, 1.0),
     "ProcessorSpec": lambda: ProcessorSpec("x", _LONG, ""),
     "PackageEntry": lambda: PackageEntry("x", _LONG, 1.0),
+    "catalog_to_csv": lambda: catalog_to_csv([PackageEntry("x", 1.0, _LONG)]),
     "to_csv": lambda: to_csv(Series("b", [(_LONG, 1.0)])),
     "to_csv-power_w": lambda: to_csv(Series("b", [(1.0, 1.0)], power_w=_LONG)),
 }

@@ -6,7 +6,9 @@ row, for any report whose residual table holds numbers.
 """
 
 import dataclasses
+import enum
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -180,6 +182,58 @@ def test_a_bad_entry_in_a_later_block_is_refused(writer):
     table = ((0.0, 1.0, 1.0, 0.0),) * 5 + ((1.0, "1.5", 3.0, 0.0),)
     with mock.patch.object(report_module, "_BLOCK_ROWS", 2), pytest.raises(TypeError):
         writer(FitReport("bad", _LINE, FitClass.MODERATE, table))
+
+
+# --- from one block on, orjson writes the numbers -------------------------------------
+
+# Floats over the whole exponent range, subnormals included, and ints on both
+# sides of orjson's 64-bit limit.
+_plain = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+
+
+def _edge(value):
+    """A table of one block (four rows, as patched below) around ``value``."""
+    return [(value, 1.0, -value, 0.5)] * 4
+
+
+@given(st.lists(st.tuples(_plain, _plain, _plain, _plain), max_size=50))
+# where orjson's notation parts from json's: 1e-4, 1e16, and the ends of its ints
+@example(_edge(1e-4))
+@example(_edge(math.nextafter(1e-4, 0.0)))
+@example(_edge(1e-5))
+@example(_edge(1e-7))
+@example(_edge(1e15))
+@example(_edge(math.nextafter(1e16, 0.0)))
+@example(_edge(1e16))
+@example(_edge(5e-324))
+@example(_edge(-0.0))
+@example(_edge(2.0**53))
+@example(_edge(2**63))
+@example(_edge(2**64))
+@example(_edge(-(2**63) - 1))
+@example(  # the edges in one block with a bool, a NaN and a float subclass, which go to json
+    [
+        (1e-4, math.nextafter(1e-4, 0.0), 1e-5, 1e-7),
+        (1e15, math.nextafter(1e16, 0.0), 1e16, 5e-324),
+        (-0.0, 2.0**53, 2**63, 2**64),
+        (-(2**63) - 1, True, math.nan, np.float64(1e-5)),
+    ]
+)
+def test_render_json_of_plain_numbers_equals_indented_json_dumps(table):
+    report = FitReport("plain", _LINE, FitClass.GOOD, table)
+    with mock.patch.object(report_module, "_BLOCK_ROWS", 4):
+        assert render_json(report) == json.dumps(reference_obj(report), indent=2) + "\n"
+
+
+class _Level(enum.Enum):
+    LOW = 1.5
+
+
+def test_a_table_of_one_block_refuses_what_json_refuses():
+    # orjson writes an Enum member as its value, where json refuses it
+    table = [(1.0, 2.0, 3.0, _Level.LOW)] * 4
+    with mock.patch.object(report_module, "_BLOCK_ROWS", 4), pytest.raises(TypeError, match="_Level"):
+        render_json(FitReport("bad", _LINE, FitClass.MODERATE, table))
 
 
 def test_json_blocks_take_a_small_fraction_of_the_output_in_memory():
