@@ -103,6 +103,8 @@ def cmd_fit(args) -> int:
         nonlinear=args.nonlinear,
         nl_max_iter=args.max_iter,
     )
+    # the report holds copies of the columns, so the series' are freed before its text is written
+    del series
     # build_report's columns hold only finite numbers, which both writers take,
     # so a report is written a block at a time and never stops part way
     if args.as_json:

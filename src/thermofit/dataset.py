@@ -24,15 +24,26 @@ temperatures within the sanity bound [-273.15, 10000] degC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from operator import ge, le, lt
 from typing import Iterable, NamedTuple
 
-from .errors import _DOUBLE_MAX, EmptySeries, MalformedRow, NonIncreasingTime, OutOfRange, _ordered, _shown
+from .errors import (
+    _BLOCK_ROWS,
+    _DOUBLE_MAX,
+    EmptySeries,
+    MalformedRow,
+    NonIncreasingTime,
+    OutOfRange,
+    _ordered,
+    _shown,
+)
 
 TEMP_MIN_C = -273.15
 TEMP_MAX_C = 10000.0
 
 _HEADER = "time_s,temperature_c"
+_JSON_LINE_MAX = 256  # the longest body line orjson reads, in characters
 
 
 class Sample(NamedTuple):
@@ -92,8 +103,32 @@ class Violation:
     message: str
 
 
+def _valid_in_bulk(series: Series) -> bool:
+    """Whether ``series`` breaks no invariant, tested by whole-column passes:
+    nonempty, a positive finite ``power_w`` or None, strictly increasing times
+    from at least 0 to at most the largest double, and every temperature
+    within the bounds.  False for a NaN, and for a Decimal NaN, which raises
+    where it is compared."""
+    times, temps, power = series.times, series.temps, series.power_w
+    try:
+        return bool(
+            times
+            and (power is None or 0 < power <= _DOUBLE_MAX)
+            and 0 <= times[0]
+            and times[-1] <= _DOUBLE_MAX
+            and all(map(lt, times, islice(times, 1, None)))
+            and all(map(le, repeat(TEMP_MIN_C), temps))
+            and all(map(ge, repeat(TEMP_MAX_C), temps))
+        )
+    except ArithmeticError:  # decimal.InvalidOperation
+        return False
+
+
 def _violations(series: Series):
-    """Yield the violations :func:`validate` lists, in the same order."""
+    """Yield the violations :func:`validate` lists, in the same order; the
+    per-sample scan runs only for a series :func:`_valid_in_bulk` refuses."""
+    if _valid_in_bulk(series):
+        return
     if not series.times:
         yield Violation("EmptySeries", None, "series has no samples")
     if series.power_w is not None and not (0 < _ordered(series.power_w) <= _DOUBLE_MAX):
@@ -108,7 +143,11 @@ def _violations(series: Series):
             yield Violation("OutOfRange", i, f"time_s={_shown(t)} must be finite and >= 0")
         if not (TEMP_MIN_C <= y <= TEMP_MAX_C):
             yield Violation("OutOfRange", i, f"temperature_c={_shown(y)} outside [{TEMP_MIN_C}, {TEMP_MAX_C}]")
-        if i and not (t > prev):
+        try:
+            increasing = not i or t > prev
+        except ArithmeticError:  # a Decimal against a float NaN: no order, as for two NaNs
+            increasing = False
+        if not increasing:
             yield Violation(
                 "NonIncreasingTime", i, f"time_s[{i}]={_shown(t)} does not exceed time_s[{i - 1}]={_shown(prev)}"
             )
@@ -209,15 +248,34 @@ def _plain_body(lines: list[str]) -> tuple[tuple, tuple] | None:
     """The time and temperature columns of ``lines``, read in one split, when
     every line but a blank last one is one comma between two numbers in
     :func:`_plain` text; otherwise None.  A comment has no number before its
-    comma, so it is refused too."""
+    comma, so it is refused too.
+
+    From ``_BLOCK_ROWS`` lines on, orjson reads the body as one JSON array; its
+    values are kept only when each is a float.  Any other body, such as one
+    with an int (JSON's ``-0`` has no sign), ``+1``, ``.5``, ``inf``, VT or FF
+    padding or a number orjson refuses (``1e400``), goes to ``float()``."""
     if lines and not lines[-1].strip():
         lines = lines[:-1]
     if set(map(str.count, lines, repeat(","))) != {1}:
         return None
-    joined = ",".join(lines)
-    if not _plain(joined):
+    array = f"[{','.join(lines)}]"
+    if not _plain(array):
         return None
-    fields = joined.split(",")
+    # orjson 3.8.3 rounds some numbers of more than 768 digits wrongly, so a
+    # body with a line longer than _JSON_LINE_MAX goes to float()
+    if len(lines) >= _BLOCK_ROWS and max(map(len, lines)) <= _JSON_LINE_MAX:
+        import orjson  # deferred: importing it costs as much as reading a block of lines
+
+        try:
+            values = orjson.loads(array)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if {*map(type, values)} == {float}:  # so two per line, as each line has one comma
+                return tuple(values[0::2]), tuple(values[1::2])
+            del values  # not kept alive while float() reads the fields
+    fields = array.split(",")
+    fields[0], fields[-1] = fields[0][1:], fields[-1][:-1]  # the brackets
     try:
         return tuple(map(float, fields[0::2])), tuple(map(float, fields[1::2]))
     except ValueError:

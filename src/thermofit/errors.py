@@ -19,6 +19,10 @@ _GN_MAX_ITER = 100  # Gauss-Newton iteration cap: the solver's, build_report's a
 # lists at 13 samples and 9 times faster at 1024; loading numpy costs as much
 # as a list fit of about 40 000 samples (README, "Numerical notes").
 _ARRAY_MIN = 1024
+# The writers encode a report's residual rows this many at a time; from this
+# many body lines on, parse_csv reads the numbers with orjson, which it does
+# not import for a shorter body.
+_BLOCK_ROWS = 4096
 
 
 class ThermofitError(Exception):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dataset import Series, _require_valid
-from .errors import _ARRAY_MIN, _GN_MAX_ITER, OutOfRange
+from .errors import _ARRAY_MIN, _BLOCK_ROWS, _GN_MAX_ITER, OutOfRange
 from .regression import Axis, FitClass, LinearFit, _fit, _line, classify_fit
 
 if TYPE_CHECKING:  # the step model is loaded only by a curve fit
@@ -103,13 +103,10 @@ def build_report(
     return FitReport(series.label, fit, classify_fit(fit.r), nonlinear=nl, _columns=columns)
 
 
-# The writers encode the residual rows this many at a time, so that what one
-# block holds, not what the whole table holds, bounds their working memory.
-_BLOCK_ROWS = 4096
-
-
 def _blocks(columns):
-    """The values of the four columns, row by row, in blocks of at most ``_BLOCK_ROWS`` rows."""
+    """The values of the four columns, row by row, in blocks of at most
+    ``_BLOCK_ROWS`` rows, so that what one block holds, not what the whole
+    table holds, bounds the writers' working memory."""
     x, y, p, d = columns
     for i in range(0, len(x), _BLOCK_ROWS):
         j = i + _BLOCK_ROWS
@@ -118,9 +115,19 @@ def _blocks(columns):
         yield values
 
 
-# One residual row as json.dumps(..., indent=2) lays it out inside the report.
-_JSON_ROW = '    {\n      "x": %s,\n      "observed": %s,\n      "predicted": %s,\n      "residual": %s\n    }'
+# What json.dumps(..., indent=2) writes inside the report before each value of
+# a residual row: before x the end of the row before, or for the first row
+# _JSON_FIRST
+_JSON_BEFORE = (
+    '\n    },\n    {\n      "x": ',
+    ',\n      "observed": ',
+    ',\n      "predicted": ',
+    ',\n      "residual": ',
+)
+_JSON_FIRST = '\n    {\n      "x": '
 _JSON_SLOT = '\n  "residuals": []'
+# orjson writes a value below 1e-4 in fixed notation, where json writes an exponent
+_FIXED = ("0.0000", "-0.0000")
 
 
 def _json_values(values: list) -> list[str]:
@@ -154,8 +161,10 @@ def _orjson_values(values: list) -> list[str]:
     if "n" in text:  # null: a NaN or an infinity
         return _json_values(values)
     texts = text.split(",")
-    if "e" in text or "0.0000" in text:
-        return [repr(v) if "e" in t or t.startswith(("0.0000", "-0.0000")) else t for t, v in zip(texts, values)]
+    # a token that starts with "0.0000", not one that holds it, as 20.00003 does
+    fixed = texts[0].startswith(_FIXED) or ",0.0000" in text or ",-0.0000" in text
+    if "e" in text or fixed:
+        return [repr(v) if "e" in t or t.startswith(_FIXED) else t for t, v in zip(texts, values)]
     return texts
 
 
@@ -164,13 +173,13 @@ def render_json(report: FitReport) -> str:
 
     The text equals ``json.dumps(obj, indent=2) + "\n"`` for the report's
     dict, but the residual values are written by json's C encoder a block
-    of rows at a time and laid out with a row template.  In a table of at
-    least ``_BLOCK_ROWS`` rows orjson writes the numbers: ``float.__repr__``
-    writes again those it puts in another notation than json's, and json
-    writes a block that holds a NaN, an infinity or anything but floats and
-    ints, so the bytes are json's either way.  An entry of
-    ``residual_table`` that json would write as a string, list or object
-    raises TypeError.
+    of rows at a time and joined with the text json puts between them.  In a
+    table of at least ``_BLOCK_ROWS`` rows orjson writes the numbers:
+    ``float.__repr__`` writes again those it puts in another notation than
+    json's, and json writes a block that holds a NaN, an infinity or
+    anything but floats and ints, so the bytes are json's either way.  An
+    entry of ``residual_table`` that json would write as a string, list or
+    object raises TypeError.
     """
     return "".join(_json_blocks(report))
 
@@ -206,14 +215,17 @@ def _json_blocks(report: FitReport):
         return
     # json escapes a newline inside a string, so the first match is the top-level key
     before, _, after = head.partition(_JSON_SLOT)
-    yield before + '\n  "residuals": [\n'
+    yield before + '\n  "residuals": ['
     # json's encoder writes the digits at 0.45 us a value; from one block on, orjson writes them
     encode = _orjson_values if len(report._columns[0]) >= _BLOCK_ROWS else _json_values
-    sep = ""
+    first = _JSON_FIRST  # the text before a block's first value
     for values in _blocks(report._columns):
-        yield (sep + ",\n".join([_JSON_ROW] * (len(values) // 4))) % tuple(encode(values))
-        sep = ",\n"
-    yield "\n  ]" + after + "\n"
+        parts = [None] * (2 * len(values))
+        parts[0::2] = _JSON_BEFORE * (len(values) // 4)
+        parts[1::2] = encode(values)
+        parts[0], first = first, _JSON_BEFORE[0]
+        yield "".join(parts)
+    yield "\n    }\n  ]" + after + "\n"
 
 
 _TEXT_ROW = "%10.4f  %10.4f  %10.4f  %10.4f\n"

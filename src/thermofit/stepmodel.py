@@ -460,6 +460,11 @@ def gradient_descent(
     method adapts to the local scale.
     Converged means the relative SSE decrease over a ``window``-iteration
     span fell below ``tol``.
+
+    The result depends on the unit of temperature: the direction scales with
+    the temperatures squared, while ``learning_rate`` is an absolute step in
+    k, so temperatures in other units take other steps and may stop at
+    another iterate.  :func:`gauss_newton` has no such dependence.
     """
     _require_count("window", window, 1)
     if not 0.0 < _ordered(learning_rate) <= _DOUBLE_MAX:

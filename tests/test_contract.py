@@ -35,6 +35,7 @@ from thermofit.cli import main
 from thermofit.svgplot import CURVE_COLOR
 
 _N = 200_000  # samples in big.csv
+_N_INTS = 5000  # samples in ints.csv, more than one block of the reader
 
 # The input files, written once per module into one directory; argv names them
 # by relative path.  big.csv is a slow 1 Hz warm-up with a ripple.
@@ -43,6 +44,10 @@ _INPUTS = {
     + "".join(f"{t!r},{60.0 - 40.0 * math.exp(-t / 66667.0) + 0.3 * math.sin(t)!r}\n" for t in map(float, range(_N))),
     "w.txt": lambda: "1.0\n" * _N,
     "w2.txt": lambda: "".join(f"{1 + (i % 7) / 8}\n" for i in range(_N)),
+    # int times from -0, which only float() reads as a signed zero, with CRLF
+    # line ends and tab-padded fields
+    "ints.csv": lambda: "time_s,temperature_c\r\n"
+    + "".join(f"\t{t or '-0'}\t,\t{20.0 + 0.004 * t + 0.5 * math.sin(t)!r}\t\r\n" for t in range(_N_INTS)),
 }
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -250,43 +251,95 @@ def test_to_csv_round_trips_a_label_or_refuses_it(series, label):
 # --- the one-split body and the line-by-line reader ----------------------------------
 
 _pad = st.sampled_from(["", " ", "\t", "  "])
-_temp = st.floats(-300.0, 10100.0).map(repr) | st.integers(-300, 10100).map(str) | st.sampled_from(["nan", "2e1"])
+_any_pad = _pad | st.sampled_from(["\x0b", "\x0c"])  # JSON takes no VT or FF
+# Numbers JSON reads as float() does: as floats, ints beyond 2**64 too; as ints,
+# where JSON's -0 has no sign; and forms JSON refuses.
+_json_float = (
+    st.floats(-300.0, 10100.0).map(repr)
+    | st.sampled_from(["-0.0", "-1e-400", "1E5", "2e1"])
+    | st.integers(2**64, 2**80).map(str)
+    | st.from_regex(r"-?[1-9][0-9]?\.[0-9]{28,30}(e-?[0-9])?", fullmatch=True)  # 30-digit mantissas
+)
+_json_number = _json_float | st.integers(-300, 10100).map(str) | st.just("-0")
+_not_json = st.sampled_from(["+1", ".5", "1.", "01", "1e400", "nan", "1.5\x0c"])
 _odd_line = st.sampled_from(
     ["", "  ", "\t", "\r", "# note, with a comma", "1,2,3", "7", "\u0661,20", "1_0,20", "ab,20", "5,20\u2028"]
 )
 
 
+def _spelled(t: float, kind: str):
+    """A text of about ``t`` of the given kind: a JSON float, a JSON number
+    (``-0`` for 0), or any form, some of them forms JSON refuses."""
+    whole = int(t)
+    forms = [repr(t), f"{t:E}", f"{t}{'1' * 30}"]
+    if kind != "float":
+        forms += [str(whole)] * (t == whole) + ["-0"] * (t == 0)
+    if kind == "any":
+        forms += [f"+{t}", f"0{whole}", f"{whole}.", f"{t}\x0c"]
+    return st.sampled_from(forms)
+
+
 @st.composite
 def csv_texts(draw):
     """A header and body lines: mostly rows with increasing times, some with a
-    repeated time or a bad temperature, and some lines the one split refuses."""
+    repeated time or a bad temperature.  A third of the texts hold only JSON
+    floats and a third only JSON numbers; the rest may have forms JSON refuses
+    and lines the one split refuses."""
     head = draw(st.sampled_from(["", "# label: a\n", "# power_w: 150\n\n"]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
+    kind = draw(st.sampled_from(["float", "number", "any"]))
+    temp = {"float": _json_float, "number": _json_number, "any": _json_number | _not_json}[kind]
+    pad, odd_lines = _pad, st.just(False)
+    if kind == "any":
+        pad, odd_lines = _any_pad, st.integers(0, 3).map(lambda k: k == 0)
     lines, t = [], 0.0
-    for odd in draw(st.lists(st.integers(0, 3).map(lambda k: k == 0), max_size=12)):
+    for odd in draw(st.lists(odd_lines, max_size=12)):
         if odd:
             lines.append(draw(_odd_line))
             continue
         t += draw(st.sampled_from([1.0, 1.0, 0.5, 0.0]))
-        lines.append(draw(_pad) + repr(t) + draw(_pad) + "," + draw(_pad) + draw(_temp) + draw(_pad))
+        lines.append(draw(pad) + draw(_spelled(t, kind)) + draw(pad) + "," + draw(pad) + draw(temp) + draw(pad))
     return head + "time_s,temperature_c" + end + end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def _parsed(text):
-    """The Series parse_csv returns, or its error type and message."""
+    """The Series parse_csv returns, its columns by float.hex, which tells -0.0
+    from 0.0; or its error type and message."""
     try:
-        return parse_csv(text)
+        series = parse_csv(text)
     except ThermofitError as e:
         return type(e), str(e)
+    return series.label, series.power_w, [*map(float.hex, series.times)], [*map(float.hex, series.temps)]
+
+
+def _agrees_with_the_line_loop(text):
+    with mock.patch.object(dataset, "_plain_body", return_value=None):
+        by_lines = _parsed(text)
+    assert _parsed(text) == by_lines
 
 
 @given(csv_texts())
 @example("time_s,temperature_c\n0,20,21\n1\n")  # two commas in one line, none in the next
 @example("time_s,temperature_c\n1_0,20\n\u0661,20")  # float() reads both
 def test_the_one_split_body_agrees_with_the_line_loop(text):
-    with mock.patch.object(dataset, "_plain_body", return_value=None):
-        by_lines = _parsed(text)
-    assert _parsed(text) == by_lines
+    _agrees_with_the_line_loop(text)
+
+
+# An exact midpoint between two doubles, written in 800 digits: orjson 3.8.3
+# rounds it up where float() rounds it to the even one below.
+_MIDPOINT = "20.2999999999999989341858963598497211933135986328125".ljust(800, "0")
+
+
+@given(csv_texts())
+@example("time_s,temperature_c\n-0,20\n1,21\n")  # the int -0 is a signed zero to float() only
+@example("time_s,temperature_c\n0.0,20.5\n1.0,21.0\n")  # read by orjson
+@example("time_s,temperature_c\n0.0,1e400\n1.0,21\n")  # orjson refuses it
+@example("time_s,temperature_c\n0.0,18446744073709551616\n")
+@example(f"time_s,temperature_c\n0.0,{_MIDPOINT}\n1.0,21.5\n")
+def test_the_orjson_body_agrees_with_the_line_loop(text):
+    # with one line per block, orjson reads every body it can
+    with mock.patch.object(dataset, "_BLOCK_ROWS", 1):
+        _agrees_with_the_line_loop(text)
 
 
 def test_a_plain_body_is_read_in_one_split():
@@ -351,6 +404,46 @@ def test_parse_agrees_with_validate(series):
     with pytest.raises(ThermofitError) as info:
         parse_csv(to_csv(series))
     assert type(info.value).__name__ == report[0].rule
+
+
+def _any_kind(x: float):
+    """``x`` as a float, a Fraction, a Decimal, an int or a bool, where that type holds its value."""
+    kinds = [x, Fraction(x), Decimal(x)] + [int(x)] * (x == int(x)) + [bool(x)] * (x in (0, 1))
+    return st.sampled_from(kinds)
+
+
+_odd_value = st.sampled_from([_NAN, _NAN, _DECIMAL_NAN, -0.0, _INF, -_INF, _HUGE, -_HUGE, -1.0, -300.0, 10000.5])
+
+
+@st.composite
+def numeric_series(draw):
+    """A series of any number types: two thirds of them have strictly
+    increasing times, and three quarters have one or two of a NaN, a Decimal
+    NaN, a signed zero, an infinity, an int beyond the double range or a value
+    out of bounds."""
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 60.0), max_size=8)))
+    if draw(st.integers(0, 2)):
+        times = sorted(set(times))
+    temps = draw(st.lists(st.floats(-273.15, 10000.0), min_size=len(times), max_size=len(times)))
+    columns = [[draw(_any_kind(v)) for v in times], [draw(_any_kind(v)) for v in temps]]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) * bool(times)):
+        at = draw(st.integers(0, len(times) - 1) | st.just(len(times) - 1))  # the last sample half the time
+        draw(st.sampled_from(columns))[at] = draw(_odd_value)
+    power = draw(st.none() | st.floats(1e-3, 1e9).flatmap(_any_kind) | _odd_value | st.just(True))
+    return Series("n", tuple(zip(*columns)), power)
+
+
+@given(numeric_series())
+@example(Series("n", [(0.0, 20.0), (1.0, _DECIMAL_NAN)]))
+@example(Series("n", [(Decimal(1), 20.0), (_NAN, 20.0)]))  # the scan raised InvalidOperation
+@example(Series("n", [(0.0, 20.0), (1.0, _NAN)]))  # no NaN is the least or the largest
+@example(Series("n", [(0.0, 20.0), (_HUGE, 20.0)]))
+@example(Series("n", [(-0.0, 20.0), (Fraction(1, 3), True), (Decimal("0.5"), 21.0)], Fraction(3, 2)))
+def test_the_bulk_check_accepts_exactly_the_series_the_scan_passes(series):
+    with mock.patch.object(dataset, "_valid_in_bulk", return_value=False):
+        scan = validate(series)
+    assert dataset._valid_in_bulk(series) == (scan == [])
+    assert validate(series) == scan
 
 
 # any_series' samples, some with int times and temperatures: a series built in

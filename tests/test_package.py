@@ -93,3 +93,18 @@ def test_orjson_is_loaded_only_for_a_table_of_at_least_one_block():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "False", "True"]
+
+
+def test_orjson_is_loaded_only_to_read_a_body_of_at_least_one_block():
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    code = (
+        "import sys, thermofit\n"
+        "def parse(lines):\n"
+        "    body = ''.join(f'{t}.5,20.25\\n' for t in range(lines))\n"
+        "    thermofit.parse_csv('time_s,temperature_c\\n' + body)\n"
+        "    return 'orjson' in sys.modules\n"
+        "print(parse(4095), parse(4096))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]

@@ -35,6 +35,7 @@ from thermofit.errors import (
     NonIncreasingTime,
     OutOfRange,
     SingularNormalMatrix,
+    ThermofitError,
 )
 from thermofit import stepmodel
 from thermofit.errors import _ARRAY_MIN
@@ -431,6 +432,87 @@ def test_a_fit_does_not_depend_on_the_unit_of_time(solver, exponent):
     scaled = solver(Series("scaled", tuple((t * scale, y) for t, y in zip(_NOISY.times, _NOISY.temps))))
     assert scaled.params == StepModelParams(fit.params.t_ambient_c, fit.params.t_final_c, fit.params.tau_s * scale)
     assert (scaled.sse, scaled.iterations, scaled.converged) == (fit.sse, fit.iterations, fit.converged)
+
+
+# --- exact scaling symmetries -----------------------------------------------------------
+# A power of 2 scales every operation exactly, away from underflow and overflow,
+# so these hold bit for bit.  A time shift is not a symmetry: the model starts
+# at t = 0.
+
+
+@st.composite
+def scalable_steps(draw):
+    """A noisy step response of 5 to ``_ARRAY_MIN`` samples, its times and
+    temperatures far from the ends of the double range; some are flat or
+    span a fraction of a time constant, so that a fit may not converge or may
+    raise."""
+    n = draw(st.sampled_from([5, 13, 40, 200, _ARRAY_MIN]))
+    t0, tinf, tau = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 150.0)), draw(st.floats(0.5, 50.0))
+    dt = tau * draw(st.floats(0.1, 20.0)) / (n - 1)
+    noise = draw(st.floats(0.0, 0.5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    start = draw(st.sampled_from([0.0, dt]))
+    times = [start + i * dt for i in range(n)]
+    temps = [tinf + (t0 - tinf) * math.exp(-t / tau) + rng.gauss(0.0, noise) for t in times]
+    return Series("step", tuple(zip(times, temps)))
+
+
+def _scaled(series, dt=1.0, dy=1.0):
+    return Series("scaled", tuple((t * dt, y * dy) for t, y in zip(series.times, series.temps)))
+
+
+def _outcome(fit, data):
+    """``fit(data)``, or the type of the error it raises."""
+    try:
+        return fit(data)
+    except ThermofitError as e:
+        return type(e)
+
+
+# gradient_descent's iterations are capped so that a draw takes milliseconds
+_SOLVERS = [_GN, partial(_GD, max_iter=2000)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalable_steps())
+@pytest.mark.parametrize("solver", _SOLVERS, ids=["gauss_newton", "gradient_descent"])
+def test_times_times_four_give_tau_times_four_and_the_same_fit(solver, series):
+    fit, scaled = _outcome(solver, series), _outcome(solver, _scaled(series, dt=4.0))
+    if isinstance(fit, type):
+        assert scaled is fit
+        return
+    p = fit.params
+    assert scaled.params == StepModelParams(p.t_ambient_c, p.t_final_c, p.tau_s * 4.0)
+    assert (scaled.sse, scaled.iterations, scaled.converged, scaled.trace) == (
+        fit.sse, fit.iterations, fit.converged, fit.trace,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalable_steps())
+def test_temperatures_times_a_quarter_scale_the_gauss_newton_fit(series):
+    fit, scaled = _outcome(_GN, series), _outcome(_GN, _scaled(series, dy=0.25))
+    if isinstance(fit, type):
+        assert scaled is fit
+        return
+    p = fit.params
+    assert scaled.params == StepModelParams(p.t_ambient_c / 4.0, p.t_final_c / 4.0, p.tau_s)
+    assert (scaled.sse, scaled.iterations, scaled.converged) == (fit.sse / 16.0, fit.iterations, fit.converged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalable_steps())
+def test_the_line_fit_scales_with_the_units(series):
+    line = _outcome(ols_fit, series.points())
+    slower = _outcome(ols_fit, _scaled(series, dt=4.0).points())
+    cooler = _outcome(ols_fit, _scaled(series, dy=0.25).points())
+    if isinstance(line, type):
+        assert slower is cooler is line
+        return
+    assert (slower.slope, slower.intercept, slower.sse, slower.r) == (line.slope / 4.0, line.intercept, line.sse, line.r)
+    assert (cooler.slope, cooler.intercept, cooler.sse, cooler.r) == (
+        line.slope / 4.0, line.intercept / 4.0, line.sse / 16.0, line.r,
+    )
 
 
 # --- the two kernels of per-sample sums: Python lists and numpy arrays ------------------

@@ -211,6 +211,11 @@ def _edge(value):
 @example(_edge(2**63))
 @example(_edge(2**64))
 @example(_edge(-(2**63) - 1))
+# orjson's fixed notation of one kind alone in a block: the first text, a later
+# one, a negative one
+@example([(1e-5, 1.0, 2.0, 0.5)] + [(1.0, 1.0, 2.0, 0.5)] * 3)
+@example([(1.0, 1e-5, 2.0, 0.5)] * 4)
+@example([(1.0, 1.0, -1e-5, 0.5)] + [(1.0, 20.00003, 2.0, 0.5)] * 3)
 @example(  # the edges in one block with a bool, a NaN and a float subclass, which go to json
     [
         (1e-4, math.nextafter(1e-4, 0.0), 1e-5, 1e-7),
